@@ -1,9 +1,9 @@
 """Reference families: stars, complete bipartite graphs, decorated cores.
 
 The central family B_k(x, y) with y = n - k - x hangs k pendant vertices on
-one vertex of the larger part of K_{x,y}. Within graphs on n vertices that
-are connected, bipartite and have exactly k cut edges, these are the
-candidates that optimize all five indices.
+one vertex of the part of size x <= y of K_{x,y}, a vertex of core degree y.
+Within graphs on n vertices that are connected, bipartite and have exactly
+k cut edges, these are the candidates that optimize all five indices.
 
 Labeling is fixed everywhere: part X first (0..s-1), part Y next
 (s..s+t-1), then pendants in owner order. That makes every constructor
@@ -77,12 +77,19 @@ class DecoratedCore:
 
 
 def realize(core: DecoratedCore) -> Graph:
-    """Build the graph of a decorated core under the fixed labeling."""
+    """Build the graph of a decorated core under the fixed labeling.
+
+    The masks are written directly: each X vertex sees all of Y, each Y
+    vertex all of X, and each owner's pendants form one block of labels.
+    """
     s, t = core.s, core.t
-    edges = [(u, s + v) for u in range(s) for v in range(t)]
-    for vertex in range(s + t):
-        edges.extend((vertex, p) for p in core.pendant_labels(vertex))
-    return new_graph(core.order, edges)
+    adj = [((1 << t) - 1) << s] * s + [(1 << s) - 1] * t
+    label = s + t
+    for owner, count in enumerate(core.pendants):
+        adj[owner] |= ((1 << count) - 1) << label
+        adj.extend([1 << owner] * count)
+        label += count
+    return Graph(label, tuple(adj))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 UNREACHABLE = -1
 
@@ -384,42 +383,3 @@ def graph6_decode(text: str) -> Graph:
     if any(tail):
         raise ValueError(f"nonzero graph6 padding at offset {start + need - 1}")
     return new_graph(n, edges)
-
-
-def orbit_classes(graphs, n: int):
-    """Group labeled graphs on n vertices into isomorphism orbits.
-
-    Exhaustive n! sweep: pop a survivor, record it, drop every relabeling.
-    Usable only at small n; it exists as an independent cross-check for the
-    structured enumeration.
-    """
-    from itertools import permutations
-
-    pair_index: dict[tuple[int, int], int] = {}
-    pairs = list(combinations(range(n), 2))
-    for i, (u, v) in enumerate(pairs):
-        pair_index[u, v] = i
-
-    def mask_of(g: Graph) -> int:
-        m = 0
-        for u, v in g.edges():
-            m |= 1 << pair_index[u, v]
-        return m
-
-    def graph_of(mask: int) -> Graph:
-        return new_graph(n, (pairs[i] for i in _bits(mask)))
-
-    survivors = {mask_of(g) for g in graphs}
-    perms = list(permutations(range(n)))
-    reps = []
-    while survivors:
-        m = min(survivors)
-        reps.append(graph_of(m))
-        for p in perms:
-            pm = 0
-            for i in _bits(m):
-                u, v = pairs[i]
-                a, b = p[u], p[v]
-                pm |= 1 << pair_index[(a, b) if a < b else (b, a)]
-            survivors.discard(pm)
-    return reps

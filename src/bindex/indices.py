@@ -6,9 +6,13 @@ harary      H   = sum over pairs of 1/d               (exact Fraction)
 cei             = sum over vertices of deg(u)/ecc(u)  (exact Fraction)
 eds             = sum over vertices of ecc(u) * D(u), D = transmission
 
-All computation aggregates integer counts first and divides exactly at the
-end, so sweeps over thousands of graphs stay cheap and no floats appear
-anywhere.
+All five read one cached per-vertex profile: eccentricity, transmission and
+the number of vertices at each distance. The profile runs one BFS per
+false-twin class (vertices with equal neighbor masks), so the extremal
+graphs B_k(x, y), which have four such classes, cost four BFS runs at any
+size. All computation aggregates integer counts first and divides exactly
+at the end, so sweeps over thousands of graphs stay cheap and no floats
+appear anywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import UNREACHABLE, Graph, distances_from
+from .graphs import Graph, distances_from
 
 
 class IndexKind(str, Enum):
@@ -49,18 +53,45 @@ class IndexKind(str, Enum):
 
 @lru_cache(maxsize=256)
 def _profile(g: Graph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Per-vertex (eccentricity, transmission, count-per-distance) rows."""
-    rows = []
-    for u in range(g.n):
-        dist = distances_from(g, u).dist
-        if UNREACHABLE in dist:
+    """Per-vertex (eccentricity, transmission, count-per-distance) rows.
+
+    Vertices with equal neighbor masks are false twins: swapping two of
+    them is an automorphism, so they share one row. Each class runs one
+    frontier BFS from its first vertex, and each layer's count is the
+    frontier's popcount.
+    """
+    adj = g.adj
+    first: dict[int, int] = {}
+    for u, mask in enumerate(adj):
+        first.setdefault(mask, u)
+    # Only one vertex per class needs its mask OR'd into the next layer: a
+    # twin is in the same layer as its class's first vertex, or that first
+    # vertex is the source and its neighbors are already seen at layer 1.
+    reps = 0
+    for u in first.values():
+        reps |= 1 << u
+    full = (1 << g.n) - 1
+    by_mask = {}
+    for mask, u in first.items():
+        seen = frontier = 1 << u
+        counts = [1]
+        while True:
+            reach = 0
+            frontier &= reps
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            counts.append(frontier.bit_count())
+        if seen != full:
             raise ValueError("index undefined: graph is disconnected")
-        ecc = max(dist)
-        counts = [0] * (ecc + 1)
-        for d in dist:
-            counts[d] += 1
-        rows.append((ecc, sum(dist), tuple(counts)))
-    return tuple(rows)
+        trans = sum(d * c for d, c in enumerate(counts))
+        by_mask[mask] = (len(counts) - 1, trans, tuple(counts))
+    return tuple(by_mask[mask] for mask in adj)
 
 
 def wiener(g: Graph) -> int:

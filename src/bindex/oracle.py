@@ -321,14 +321,27 @@ def verification_sweep_parallel(
 
 
 def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
-    """Read a JSONL report file into a dict keyed by (index, n, k)."""
+    """Read a JSONL report file into a dict keyed by (index, n, k).
+
+    A row that does not parse raises ValueError naming the file and its
+    1-based line, e.g. the cut last line of an interrupted run.
+    """
     out: dict[tuple[str, int, int], VerificationReport] = {}
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            report = VerificationReport.from_dict(json.loads(line))
+            try:
+                report = VerificationReport.from_dict(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise ValueError(
+                    f"{path}, line {lineno}: {e.msg} at column {e.colno}"
+                ) from e
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(
+                    f"{path}, line {lineno}: not a report row ({e!r})"
+                ) from e
             out[(report.index.value, report.n, report.k)] = report
     return out
 

@@ -163,6 +163,18 @@ def test_verify_round_trip(tmp_path):
     assert len(out.read_text().splitlines()) == 10
 
 
+def test_verify_resume_names_file_and_line_of_a_cut_row(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    assert run("verify", "--n", "5", "--out", str(out)).returncode == 0
+    text = out.read_text()
+    first_row = text.index("\n") + 1
+    out.write_text(text[: first_row + 100])  # second row cut mid-object
+    res = run("verify", "--n", "5", "--out", str(out), "--resume")
+    assert res.returncode == 1
+    assert f"{out}, line 2:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_enumerate_counts_and_fields():
     res = run("enumerate", "--n", "5")
     assert res.returncode == 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bindex.constructors import (
     BkSpec,
@@ -14,7 +16,7 @@ from bindex.constructors import (
     realize,
     star,
 )
-from bindex.graphs import bipartition, bridges, certificate, is_connected
+from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
 from bindex.indices import wiener
 
 
@@ -49,6 +51,24 @@ def test_decorated_core_make_and_realize():
     assert core.pendant_labels(3) == (7,)
     assert g.degree(5) == 1 and g.has_edge(0, 5)
     assert g.degree(7) == 1 and g.has_edge(3, 7)
+
+
+@st.composite
+def decorated_cores(draw):
+    s = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 5))
+    pendants = draw(st.lists(st.integers(0, 3), min_size=s + t, max_size=s + t))
+    return DecoratedCore(s, t, tuple(pendants))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(decorated_cores())
+def test_realize_matches_edge_list_build(core):
+    s, t = core.s, core.t
+    edges = [(u, s + v) for u in range(s) for v in range(t)]
+    for vertex in range(s + t):
+        edges.extend((vertex, p) for p in core.pendant_labels(vertex))
+    assert realize(core) == new_graph(core.order, edges)
 
 
 def test_decorated_core_validation():

@@ -5,10 +5,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.indices import (
     IndexKind,
+    _profile,
     all_indices,
     cei,
     cei_by_edges,
@@ -19,7 +22,7 @@ from bindex.indices import (
     hyper_wiener,
     wiener,
 )
-from bindex.graphs import new_graph
+from bindex.graphs import UNREACHABLE, distances_from, new_graph
 from bindex.oracle import enumerate_connected_bipartite
 
 F = Fraction
@@ -105,3 +108,65 @@ def test_hyper_wiener_always_integral_here():
     for n in range(2, 8):
         for g in enumerate_connected_bipartite(n):
             assert isinstance(hyper_wiener(g), int)
+
+
+def per_source_profile(g):
+    """The reference profile: a full BFS distance row from every vertex."""
+    rows = []
+    for u in range(g.n):
+        dist = distances_from(g, u).dist
+        if UNREACHABLE in dist:
+            raise ValueError("index undefined: graph is disconnected")
+        ecc = max(dist)
+        counts = [0] * (ecc + 1)
+        for d in dist:
+            counts[d] += 1
+        rows.append((ecc, sum(dist), tuple(counts)))
+    return tuple(rows)
+
+
+def outcome(profile, g):
+    try:
+        return profile(g)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def test_profile_matches_per_source_bfs_on_every_class():
+    for n in range(1, 9):
+        for g in enumerate_connected_bipartite(n):
+            assert _profile(g) == per_source_profile(g)
+
+
+@st.composite
+def twin_blowups(draw):
+    """Arbitrary graphs with each vertex copied into up to three false twins.
+
+    One copy each gives any graph on up to 8 vertices: non-bipartite,
+    disconnected and K_1 included. The labels are shuffled so that twins
+    are not adjacent labels.
+    """
+    base = draw(st.integers(1, 8))
+    copies = draw(st.lists(st.integers(1, 3), min_size=base, max_size=base))
+    pairs = [(a, b) for a in range(base) for b in range(a + 1, base)]
+    base_edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    owner = [a for a, c in enumerate(copies) for _ in range(c)]
+    label = draw(st.permutations(range(len(owner))))
+    edges = [
+        (label[u], label[v])
+        for u in range(len(owner))
+        for v in range(u + 1, len(owner))
+        if (owner[u], owner[v]) in base_edges
+    ]
+    return new_graph(len(owner), edges)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(twin_blowups())
+@example(new_graph(1))
+@example(new_graph(4, [(0, 1), (2, 3)]))
+@example(new_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))
+def test_profile_matches_per_source_bfs_on_random_graphs(g):
+    # disconnected graphs must raise the same ValueError on both sides; K_1
+    # has a profile on both, and its cei error is checked above
+    assert outcome(_profile, g) == outcome(per_source_profile, g)

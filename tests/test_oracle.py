@@ -119,6 +119,17 @@ def test_report_round_trip(tmp_path):
     assert loaded == {("h", 6, 1): report}
 
 
+@pytest.mark.parametrize(
+    "bad", ['{"index": "h", "n"', '{"index": "h"}'], ids=["cut-row", "missing-field"]
+)
+def test_load_reports_names_file_and_line_of_a_bad_row(tmp_path, bad):
+    good = json.dumps(verify_bound(IndexKind.H, 6, 1).to_dict())
+    path = tmp_path / "rows.jsonl"
+    path.write_text(good + "\n\n" + bad + "\n")  # blank lines still count
+    with pytest.raises(ValueError, match=r"rows\.jsonl, line 3: "):
+        load_reports(path)
+
+
 def test_complete_bipartite_blocks():
     positives = [
         star(7),
