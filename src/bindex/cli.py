@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import click
 
@@ -25,9 +26,7 @@ from .oracle import (
     enumerate_connected_bipartite,
     filter_by_cut_edges,
     load_reports,
-    bound_rows,
     verification_sweep,
-    verification_sweep_parallel,
 )
 from .transforms import (
     EDGE_ADDITION_SIGNS,
@@ -89,10 +88,6 @@ def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
             )
 
 
-def _rat(value) -> str:
-    return str(value)
-
-
 @click.group()
 def cli() -> None:
     """Exact distance-based indices and sharp bounds for bipartite graphs
@@ -139,7 +134,7 @@ def cmd_indices(source: str, index_sel: str, fmt: str) -> None:
             row["n"] = g.n
             row["m"] = g.edge_count
             # all or nothing: assign only after every index succeeded
-            row.update({kind.value: _rat(compute(kind, g)) for kind in kinds})
+            row.update({kind.value: str(compute(kind, g)) for kind in kinds})
         except ValueError as e:
             row["error"] = str(e)
         rows.append(row)
@@ -206,7 +201,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
                     "n": n,
                     "k": k,
                     "x": x,
-                    "value": _rat(closed_form(kind, n, k, x)),
+                    "value": str(closed_form(kind, n, k, x)),
                 }
             )
         _emit(rows, columns, fmt)
@@ -221,7 +216,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
             "n": n,
             "k": k,
             "direction": bound.direction,
-            "value": _rat(bound.value),
+            "value": str(bound.value),
             "optimal_x": ";".join(str(v) for v in bound.optimal_x),
             "family": ";".join(spec.label() for spec in bound.family),
         }
@@ -229,7 +224,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
             rec = reconcile(kind, n, k)
             row["clause"] = str(rec.table.label)
             row["relation"] = rec.table.relation
-            row["table_value"] = _rat(rec.table.value)
+            row["table_value"] = str(rec.table.value)
             row["table_x"] = ";".join(str(v) for v in rec.table.x_values)
             row["consistent"] = "yes" if rec.consistent else "no"
             row["notes"] = " | ".join(rec.notes)
@@ -246,37 +241,31 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
 @click.option("--resume", is_flag=True, help="skip rows already present in --out")
 @click.option("--strict", is_flag=True, help="exit 3 when any row mismatches")
 @click.option("--timing", is_flag=True, help="include elapsed_ms fields")
-@click.option("--workers", type=int, default=1, show_default=True, help="processes for the per-n sweeps")
-def cmd_verify(ns, ks, index_sel, cap, out, resume, strict, timing, workers) -> None:
+def cmd_verify(ns, ks, index_sel, cap, out, resume, strict, timing) -> None:
     """Exhaustively verify the predicted bounds, one JSONL row per check.
 
     Each row states the oracle's optimum and extremal certificates next to
     the predicted value and family, with a verdict: match, value-mismatch
-    or family-mismatch.
+    or family-mismatch. Rows are written and flushed as they are found, so
+    an interrupted run keeps its finished rows for --resume.
     """
     kinds = _kinds(index_sel)
     ks_list = sorted(set(ks)) if ks else None
     known: dict = {}
     if out and resume and os.path.exists(out):
         known = load_reports(out)
-    if workers > 1 and not known:
-        reports = verification_sweep_parallel(
-            ns, kinds, ks_list, cap, timing, workers
-        )
-    else:
-        reports = list(
-            verification_sweep(ns, kinds, ks_list, cap, timing, skip=set(known))
-        )
-    if out:
-        mode = "a" if known else "w"
-        with open(out, mode, encoding="ascii") as fh:
-            for report in reports:
-                fh.write(json.dumps(report.to_dict()) + "\n")
-        click.echo(f"wrote {len(reports)} rows to {out}", err=True)
-    else:
+    reports = verification_sweep(ns, kinds, ks_list, cap, timing, skip=set(known))
+    written = 0
+    mismatched = []
+    sink = open(out, "a" if known else "w", encoding="ascii") if out else nullcontext()
+    with sink as fh:
         for report in reports:
-            click.echo(json.dumps(report.to_dict()))
-    mismatched = [r for r in reports if not r.matched]
+            click.echo(json.dumps(report.to_dict()), file=fh)  # echo flushes
+            written += 1
+            if not report.matched:
+                mismatched.append(report)
+    if out:
+        click.echo(f"wrote {written} rows to {out}", err=True)
     mismatched += [r for r in known.values() if not r.matched]
     if mismatched:
         for r in mismatched:
@@ -297,7 +286,7 @@ def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
     graphs = list(enumerate_connected_bipartite(n, cap))
     if k is not None:
         graphs = filter_by_cut_edges(graphs, k)
-    certs = sorted(certificate(g, limit=max(10, cap)).decode("ascii") for g in graphs)
+    certs = sorted(certificate(g, limit=cap).decode("ascii") for g in graphs)
     if fmt == "graph6":
         for cert in certs:
             click.echo(cert)
@@ -333,7 +322,7 @@ def _delta_rows(before, after, prediction=None) -> tuple[list[dict], bool]:
         delta = deltas[kind]
         if prediction is not None and kind in prediction.exact:
             want = prediction.exact[kind]
-            expected = _rat(want)
+            expected = str(want)
             ok = delta == want
         else:
             signs = prediction.signs if prediction is not None else EDGE_ADDITION_SIGNS
@@ -344,9 +333,9 @@ def _delta_rows(before, after, prediction=None) -> tuple[list[dict], bool]:
         rows.append(
             {
                 "index": kind.value,
-                "before": _rat(compute(kind, before)),
-                "after": _rat(compute(kind, after)),
-                "delta": _rat(delta),
+                "before": str(compute(kind, before)),
+                "after": str(compute(kind, after)),
+                "delta": str(delta),
                 "expected": expected,
                 "ok": "yes" if ok else "NO",
             }
@@ -391,7 +380,7 @@ def cmd_probe(
         for probe in report.probes:
             row = {"u": probe.u, "v": probe.v, "ok": "yes" if probe.consistent else "NO"}
             for x in IndexKind:
-                row[f"d_{x.value}"] = _rat(probe.deltas[x])
+                row[f"d_{x.value}"] = str(probe.deltas[x])
             rows.append(row)
         _emit(rows, columns, fmt)
         if strict and not report.consistent:

@@ -57,11 +57,6 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
         raise Infeasible("the tree row k = n-1 has no x freedom")
     if x != int(x) or int(x) not in admissible_x(n, k):
         raise Infeasible(f"x={x} not admissible: need integer 2 <= x <= n-k-x")
-    return _poly(kind, n, k, x)
-
-
-def _poly(kind: IndexKind, n: int, k: int, x) -> Fraction:
-    """Unchecked polynomial evaluation; the table layer also uses fractional x."""
     x = Fraction(x)
     if kind is IndexKind.W:
         return x * x + (2 * k - n) * x + n * n - n - 2 * k

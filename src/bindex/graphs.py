@@ -6,6 +6,11 @@ package works with (n up to a few hundred). Everything here is deterministic
 and side-effect free: distance rows, eccentricities, transmissions, cut
 edges, bipartitions, canonical certificates and the graph6 interchange
 format.
+
+Breadth-first search is one primitive, layers(), which yields the BFS
+layers from one root as vertex masks. Distances, connectivity, bipartitions
+by level parity and the shores of a cut edge are all built on it; only two
+hot loops elsewhere stay inline, each with a comment saying why.
 """
 
 from __future__ import annotations
@@ -56,14 +61,6 @@ class Graph:
 
 
 @dataclass(frozen=True)
-class DistanceRow:
-    """BFS distances from one source; UNREACHABLE marks other components."""
-
-    source: int
-    dist: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Bipartition:
     """The two color classes of a bipartite graph."""
 
@@ -109,54 +106,51 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph(g.n, tuple(adj))
 
 
-def distances_from(g: Graph, source: int) -> DistanceRow:
-    """Single-source BFS over level masks; unreached vertices get -1."""
-    _check_vertex(g.n, source)
-    adj = g.adj
-    dist = [UNREACHABLE] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
+def layers(adj, root: int, within: int = -1):
+    """Yield the BFS layers from root as vertex masks; layer d is at distance d.
+
+    adj is a sequence of neighbor masks. The search enters only vertices in
+    the within mask (all by default); root itself is always layer 0. The
+    layers are disjoint, so their sum is the root's component.
+    """
+    seen = frontier = 1 << root
     while frontier:
+        yield frontier
         reach = 0
         for v in _bits(frontier):
             reach |= adj[v]
-        frontier = reach & ~seen
+        frontier = reach & within & ~seen
         seen |= frontier
-        d += 1
-        for v in _bits(frontier):
+
+
+def distances_from(g: Graph, source: int) -> tuple[int, ...]:
+    """Single-source BFS distances; UNREACHABLE marks other components."""
+    _check_vertex(g.n, source)
+    dist = [UNREACHABLE] * g.n
+    for d, layer in enumerate(layers(g.adj, source)):
+        for v in _bits(layer):
             dist[v] = d
-    return DistanceRow(source, tuple(dist))
+    return tuple(dist)
 
 
 def is_connected(g: Graph) -> bool:
-    adj = g.adj
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return sum(layers(g.adj, 0)) == (1 << g.n) - 1
 
 
 def eccentricity(g: Graph, u: int) -> int:
     """Max distance from u; raises on disconnected graphs."""
-    row = distances_from(g, u)
-    if UNREACHABLE in row.dist:
+    dist = distances_from(g, u)
+    if UNREACHABLE in dist:
         raise ValueError("eccentricity undefined: graph is disconnected")
-    return max(row.dist)
+    return max(dist)
 
 
 def transmission(g: Graph, u: int) -> int:
     """Sum of distances from u to every vertex; raises on disconnected graphs."""
-    row = distances_from(g, u)
-    if UNREACHABLE in row.dist:
+    dist = distances_from(g, u)
+    if UNREACHABLE in dist:
         raise ValueError("transmission undefined: graph is disconnected")
-    return sum(row.dist)
+    return sum(dist)
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
@@ -199,30 +193,21 @@ def bridges(g: Graph) -> frozenset[tuple[int, int]]:
 
 
 def bipartition(g: Graph) -> Bipartition | None:
-    """Two-color g by BFS per component; None if an odd cycle exists.
+    """Two-color g by BFS level parity per component; None if an odd cycle exists.
 
     Each component's smallest vertex goes to part_x, so the split is
     deterministic. For connected graphs it is the unique bipartition.
     """
-    color = [-1] * g.n
+    parts = [0, 0]
     for root in range(g.n):
-        if color[root] != -1:
+        if (parts[0] | parts[1]) >> root & 1:
             continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                cv = color[v]
-                for w in _bits(g.adj[v]):
-                    if color[w] == -1:
-                        color[w] = 1 - cv
-                        nxt.append(w)
-                    elif color[w] == cv:
-                        return None
-            queue = nxt
-    part_x = frozenset(v for v in range(g.n) if color[v] == 0)
-    part_y = frozenset(v for v in range(g.n) if color[v] == 1)
+        for d, layer in enumerate(layers(g.adj, root)):
+            parts[d & 1] |= layer
+    # an edge inside one parity class closes an odd cycle
+    if any(g.adj[v] & part for part in parts for v in _bits(part)):
+        return None
+    part_x, part_y = (frozenset(_bits(part)) for part in parts)
     return Bipartition(part_x, part_y)
 
 
@@ -231,18 +216,6 @@ def relabel(g: Graph, mapping) -> Graph:
     if sorted(mapping) != list(range(g.n)):
         raise ValueError("mapping is not a permutation of the vertex set")
     return new_graph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges()))
-
-
-def _columns_key(g: Graph, order: list[int]) -> tuple[int, ...]:
-    """Column values of the partial placement, one int per position >= 1."""
-    cols = []
-    for j in range(1, len(order)):
-        a = g.adj[order[j]]
-        c = 0
-        for i in range(j):
-            c = c << 1 | (a >> order[i] & 1)
-        cols.append(c)
-    return tuple(cols)
 
 
 def _canonical_order(g: Graph) -> list[int]:

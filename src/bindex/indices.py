@@ -73,6 +73,7 @@ def _profile(g: Graph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     full = (1 << g.n) - 1
     by_mask = {}
     for mask, u in first.items():
+        # inline, not graphs.layers: only one vertex per twin class is expanded
         seen = frontier = 1 << u
         counts = [1]
         while True:
@@ -159,7 +160,7 @@ def eds_by_pairs(g: Graph) -> int:
     prof = _profile(g)
     total = 0
     for u in range(g.n):
-        dist = distances_from(g, u).dist
+        dist = distances_from(g, u)
         for v in range(u + 1, g.n):
             total += (prof[u][0] + prof[v][0]) * dist[v]
     return total

@@ -10,6 +10,12 @@ A second, fully labeled path rebuilds the same classes from raw edge
 subsets (scan every mask, keep connected bipartite ones, collapse orbits
 under all vertex permutations). The two paths share no code beyond the
 Graph type, which is the point: their agreement is checked, not assumed.
+The enumeration tests connectivity with graphs.layers; the labeled scan
+keeps its own inline BFS, its hot loop.
+
+One size guard, cap, bounds both enumeration and certificates, and
+verification_sweep checks every n against it before any work starts.
+Everything runs in one process; the largest sweep (n = 10) takes seconds.
 """
 
 from __future__ import annotations
@@ -23,10 +29,16 @@ from typing import Iterable, Iterator
 
 from .constructors import Infeasible, b_graph, feasible_cut_edge_counts
 from .extremal import optimize
-from .graphs import Graph, bridges, certificate, is_connected, new_graph
+from .graphs import Graph, _bits, bridges, certificate, is_connected, layers, new_graph
 from .indices import IndexKind, all_indices
 
 DEFAULT_CAP = 9
+
+
+def _check_cap(n: int, cap: int) -> None:
+    """The one size guard: enumeration and certificates both stop at cap."""
+    if n > cap:
+        raise ValueError(f"n={n} above cap={cap}: raise cap explicitly for big sweeps")
 
 
 def _remap_tables(s: int) -> list[list[int]]:
@@ -83,8 +95,7 @@ def enumerate_connected_bipartite(n: int, cap: int = DEFAULT_CAP) -> Iterator[Gr
     """
     if n < 1:
         raise ValueError(f"need n>=1, got n={n}")
-    if n > cap:
-        raise ValueError(f"n={n} above cap={cap}: raise cap explicitly for big sweeps")
+    _check_cap(n, cap)
     if n == 1:
         yield new_graph(1)
         return
@@ -127,8 +138,8 @@ def _best_multi(
     return best
 
 
-def _certs(graphs: Iterable[Graph]) -> tuple[str, ...]:
-    return tuple(sorted(certificate(g).decode("ascii") for g in graphs))
+def _certs(graphs: Iterable[Graph], cap: int) -> tuple[str, ...]:
+    return tuple(sorted(certificate(g, limit=cap).decode("ascii") for g in graphs))
 
 
 def extremal_search(
@@ -141,7 +152,7 @@ def extremal_search(
             f"no connected bipartite graph on n={n} vertices has exactly k={k} cut edges"
         )
     value, graphs = _best_multi(candidates, [kind])[kind]
-    return ExtremalResult(kind, n, k, value, tuple(graphs), _certs(graphs))
+    return ExtremalResult(kind, n, k, value, tuple(graphs), _certs(graphs, cap))
 
 
 @dataclass(frozen=True)
@@ -200,16 +211,19 @@ def _verdict(report: VerificationReport) -> str:
     return "match"
 
 
-def _predicted(kind: IndexKind, n: int, k: int) -> tuple[Fraction, tuple[str, ...]]:
+def _predicted(
+    kind: IndexKind, n: int, k: int, cap: int
+) -> tuple[Fraction, tuple[str, ...]]:
     bound = optimize(kind, n, k)
-    return bound.value, _certs(b_graph(spec) for spec in bound.family)
+    return bound.value, _certs((b_graph(spec) for spec in bound.family), cap)
 
 
 def verify_bound(
     kind: IndexKind, n: int, k: int, cap: int = DEFAULT_CAP
 ) -> VerificationReport:
     """Exhaustively check one predicted bound row: value and extremal set."""
-    predicted_value, predicted_certs = _predicted(kind, n, k)
+    _check_cap(n, cap)
+    predicted_value, predicted_certs = _predicted(kind, n, k, cap)
     found = extremal_search(kind, n, k, cap)
     report = VerificationReport(
         kind,
@@ -245,15 +259,30 @@ def verification_sweep(
 ) -> Iterator[VerificationReport]:
     """Verify every requested row, enumerating each n only once.
 
-    Reports stream out ordered by n, then k, then index. skip holds
-    (index value, n, k) keys of rows already done (resume support); an n
-    whose rows are all skipped is never enumerated. elapsed_ms (only with
-    timing=True) covers the shared (n, k) candidate scan.
+    Every n is checked against cap and the bounds' range when this is
+    called, before any enumeration, so a bad request fails before the
+    first row. Reports stream out ordered by n, then k, then index. skip
+    holds (index value, n, k) keys of rows already done (resume support);
+    an n whose rows are all skipped is never enumerated. elapsed_ms (only
+    with timing=True) covers the shared (n, k) candidate scan.
     """
-    kinds = list(kinds or IndexKind)
-    done = set(skip)
+    ks = None if ks is None else set(ks)  # read once, used for every n
+    plan = []
     for n in sorted(set(ns)):
-        rows = bound_rows(n, ks)
+        _check_cap(n, cap)
+        plan.append((n, bound_rows(n, ks)))
+    return _sweep(plan, list(kinds or IndexKind), cap, timing, set(skip))
+
+
+def _sweep(
+    plan: list[tuple[int, list[int]]],
+    kinds: list[IndexKind],
+    cap: int,
+    timing: bool,
+    done: set[tuple[str, int, int]],
+) -> Iterator[VerificationReport]:
+    """The rows of verification_sweep, once its plan has been checked."""
+    for n, rows in plan:
         todo = {
             k: [kind for kind in kinds if (kind.value, n, k) not in done]
             for k in rows
@@ -275,49 +304,20 @@ def verification_sweep(
             best = _best_multi(candidates, todo[k])
             elapsed = (time.perf_counter() - start) * 1000.0
             for kind in todo[k]:
-                predicted_value, predicted_certs = _predicted(kind, n, k)
+                predicted_value, predicted_certs = _predicted(kind, n, k, cap)
                 value, graphs = best[kind]
                 report = VerificationReport(
                     kind,
                     n,
                     k,
                     value,
-                    _certs(graphs),
+                    _certs(graphs, cap),
                     predicted_value,
                     predicted_certs,
                     "",
                     elapsed if timing else None,
                 )
                 yield replace(report, verdict=_verdict(report))
-
-
-def _sweep_task(args) -> list[dict]:
-    n, kind_values, ks, cap, timing = args
-    kinds = [IndexKind(v) for v in kind_values]
-    return [r.to_dict() for r in verification_sweep([n], kinds, ks, cap, timing)]
-
-
-def verification_sweep_parallel(
-    ns: Iterable[int],
-    kinds: Iterable[IndexKind] | None = None,
-    ks: Iterable[int] | None = None,
-    cap: int = DEFAULT_CAP,
-    timing: bool = False,
-    workers: int = 1,
-) -> list[VerificationReport]:
-    """verification_sweep with the per-n work fanned out to processes."""
-    kinds = list(kinds or IndexKind)
-    if workers <= 1:
-        return list(verification_sweep(ns, kinds, ks, cap, timing))
-    from multiprocessing import Pool
-
-    tasks = [
-        (n, [kind.value for kind in kinds], list(ks) if ks is not None else None, cap, timing)
-        for n in sorted(set(ns))
-    ]
-    with Pool(min(workers, len(tasks))) as pool:
-        chunks = pool.map(_sweep_task, tasks)
-    return [VerificationReport.from_dict(d) for chunk in chunks for d in chunk]
 
 
 def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
@@ -353,48 +353,19 @@ def complete_bipartite_blocks(g: Graph) -> bool:
     for u, v in bridges(g):
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-    h = Graph(g.n, tuple(adj))
     seen = 0
     for root in range(g.n):
         if seen >> root & 1:
             continue
-        comp = 1 << root
-        frontier = comp
-        while frontier:
-            reach = 0
-            f = frontier
-            while f:
-                low = f & -f
-                reach |= h.adj[low.bit_length() - 1]
-                f ^= low
-            frontier = reach & ~comp
-            comp |= frontier
-        seen |= comp
-        if comp.bit_count() == 1:
-            continue
-        # 2-color the component and count the cross edges it actually has
-        color = {root: 0}
-        queue = [root]
-        sizes = [1, 0]
-        ok = True
-        while queue and ok:
-            nxt = []
-            for v in queue:
-                cv = color[v]
-                m = h.adj[v]
-                while m:
-                    low = m & -m
-                    w = low.bit_length() - 1
-                    m ^= low
-                    if w not in color:
-                        color[w] = 1 - cv
-                        sizes[1 - cv] += 1
-                        nxt.append(w)
-                    elif color[w] == cv:
-                        ok = False
-            queue = nxt
-        inner_edges = sum(h.adj[v].bit_count() for v in color) // 2
-        if not ok or inner_edges != sizes[0] * sizes[1]:
+        parts = [0, 0]
+        for d, layer in enumerate(layers(adj, root)):
+            parts[d & 1] |= layer
+        even, odd = parts
+        seen |= even | odd
+        # complete bipartite: each level class sees exactly the other class
+        if any(adj[v] != odd for v in _bits(even)) or any(
+            adj[v] != even for v in _bits(odd)
+        ):
             return False
     return True
 
@@ -406,22 +377,19 @@ def _pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def labeled_connected_bipartite_masks(
-    n: int, lo: int = 0, hi: int | None = None
-) -> list[int]:
+def labeled_connected_bipartite_masks(n: int) -> list[int]:
     """Scan raw edge-subset masks and keep the connected bipartite ones.
 
     Pure brute force over 2^(n choose 2) masks (n <= 7), written for speed:
     7-bit chunk tables give adjacency and vertex coverage by lookup, the
     edge count window [n-1, n^2/4] and the coverage test reject most masks
-    before any BFS runs.
+    before any BFS runs. Fewer than three chunks (n <= 5) are padded with
+    an empty one, so every n takes the same loop.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"labeled scan supports 2 <= n <= 7, got n={n}")
     pairs = _pairs(n)
     nbits = len(pairs)
-    if hi is None:
-        hi = 1 << nbits
     chunk_meta = []
     for ofs in range(0, nbits, 7):
         width = min(7, nbits - ofs)
@@ -443,40 +411,26 @@ def labeled_connected_bipartite_masks(
     emin = n - 1
     emax = n * n // 4
     out = []
-    if len(chunk_meta) == 3:
-        (o0, m0, a0, c0), (o1, m1, a1, c1), (o2, m2, a2, c2) = chunk_meta
-        for mask in range(lo, hi):
-            e = mask.bit_count()
-            if e < emin or e > emax:
-                continue
-            i0 = mask & m0
-            i1 = mask >> o1 & m1
-            i2 = mask >> o2
-            if c0[i0] | c1[i1] | c2[i2] != full:
-                continue
-            adj = [x | y | z for x, y, z in zip(a0[i0], a1[i1], a2[i2])]
-            if _connected_bipartite_mask(adj, full):
-                out.append(mask)
-    else:
-        for mask in range(lo, hi):
-            e = mask.bit_count()
-            if e < emin or e > emax:
-                continue
-            cov = 0
-            adj = [0] * n
-            for ofs, m, adj_table, cov_table in chunk_meta:
-                idx = mask >> ofs & m
-                cov |= cov_table[idx]
-                row = adj_table[idx]
-                adj = [x | y for x, y in zip(adj, row)]
-            if cov != full:
-                continue
-            if _connected_bipartite_mask(adj, full):
-                out.append(mask)
+    while len(chunk_meta) < 3:
+        chunk_meta.append((nbits, 0, [(0,) * n], [0]))  # mask >> nbits is 0
+    (o0, m0, a0, c0), (o1, m1, a1, c1), (o2, m2, a2, c2) = chunk_meta
+    for mask in range(1 << nbits):
+        e = mask.bit_count()
+        if e < emin or e > emax:
+            continue
+        i0 = mask & m0
+        i1 = mask >> o1 & m1
+        i2 = mask >> o2
+        if c0[i0] | c1[i1] | c2[i2] != full:
+            continue
+        adj = [x | y | z for x, y, z in zip(a0[i0], a1[i1], a2[i2])]
+        if _connected_bipartite_mask(adj, full):
+            out.append(mask)
     return out
 
 
 def _connected_bipartite_mask(adj: list[int], full: int) -> bool:
+    # inline, not graphs.layers: the n = 7 scan makes 1.48M calls; layers() doubled their time
     seen = 1
     frontier = 1
     even = 1
@@ -513,12 +467,7 @@ def _connected_bipartite_mask(adj: list[int], full: int) -> bool:
     return True
 
 
-def _scan_task(args: tuple[int, int, int]) -> list[int]:
-    n, lo, hi = args
-    return labeled_connected_bipartite_masks(n, lo, hi)
-
-
-def labeled_class_certificates(n: int, workers: int = 1) -> frozenset[bytes]:
+def labeled_class_certificates(n: int) -> frozenset[bytes]:
     """Certificates of all connected bipartite classes, the labeled way.
 
     Scans every edge mask, then collapses isomorphism orbits by discarding
@@ -529,19 +478,7 @@ def labeled_class_certificates(n: int, workers: int = 1) -> frozenset[bytes]:
         return frozenset({certificate(new_graph(1))})
     pairs = _pairs(n)
     nbits = len(pairs)
-    total = 1 << nbits
-    if workers > 1:
-        from multiprocessing import Pool
-
-        step = (total + workers - 1) // workers
-        ranges = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with Pool(workers) as pool:
-            parts = pool.map(_scan_task, ranges)
-        survivors = set()
-        for part in parts:
-            survivors.update(part)
-    else:
-        survivors = set(labeled_connected_bipartite_masks(n))
+    survivors = set(labeled_connected_bipartite_masks(n))
     index_of = {p: i for i, p in enumerate(pairs)}
     perm_maps = []
     for p in permutations(range(n)):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructors import DecoratedCore
-from .graphs import Graph, add_edge, bridges, distances_from, graph6_encode, is_connected, new_graph
+from .graphs import Graph, add_edge, bridges, graph6_encode, is_connected, layers, new_graph
 from .indices import IndexKind, all_indices
 
 DOWN = -1  # strict decrease
@@ -70,14 +70,9 @@ def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
         raise ValueError("cut edge context needs a connected graph")
     if (min(u, w), max(u, w)) not in bridges(g):
         raise ValueError(f"({u}, {w}) is not a cut edge")
-    # removing the edge splits the graph; collect u's side by BFS
-    adj = list(g.adj)
-    adj[u] &= ~(1 << w)
-    adj[w] &= ~(1 << u)
-    cut = Graph(g.n, tuple(adj))
-    side_u = frozenset(
-        v for v, d in enumerate(distances_from(cut, u).dist) if d >= 0
-    )
+    # every path from u that avoids w avoids the cut edge: that is u's side
+    side = sum(layers(g.adj, u, within=~(1 << w)))
+    side_u = frozenset(v for v in range(g.n) if side >> v & 1)
     side_w = frozenset(range(g.n)) - side_u
     if len(side_u) < 2 or len(side_w) < 2:
         raise ValueError("both sides of the cut edge must have at least 2 vertices")

@@ -11,15 +11,22 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from bindex import cli
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.graphs import graph6_encode, new_graph
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(*args, stdin=None):
@@ -175,6 +182,52 @@ def test_verify_resume_names_file_and_line_of_a_cut_row(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_verify_streams_rows_so_an_interrupted_run_can_resume(tmp_path, monkeypatch):
+    real = cli.verification_sweep
+
+    def dies_after_first_row(*args, **kwargs):
+        sweep = real(*args, **kwargs)
+        yield next(sweep)
+        raise RuntimeError("killed")
+
+    out = tmp_path / "rows.jsonl"
+    monkeypatch.setattr(cli, "verification_sweep", dies_after_first_row)
+    res = CliRunner().invoke(cli.cli, ["verify", "--n", "5", "--out", str(out)])
+    assert isinstance(res.exception, RuntimeError)
+    (first,) = [json.loads(s) for s in out.read_text().splitlines()]
+    monkeypatch.setattr(cli, "verification_sweep", real)
+    res = CliRunner().invoke(cli.cli, ["verify", "--n", "5", "--out", str(out), "--resume"])
+    assert res.exit_code == 0
+    assert f"wrote 9 rows to {out}" in res.stderr
+    rows = [json.loads(s) for s in out.read_text().splitlines()]
+    assert rows[0] == first
+    assert len({(r["index"], r["n"], r["k"]) for r in rows}) == len(rows) == 10
+
+
+@pytest.mark.parametrize(
+    "golden, args, stdin",
+    [
+        ("enumerate_n7.g6", ["enumerate", "--n", "7"], None),
+        ("indices_n7.csv", ["indices", "--format", "csv"], "enumerate_n7.g6"),
+        ("verify_n5_n6.jsonl", ["verify", "--n", "5", "--n", "6"], None),
+        (
+            "bound_n10_k2_reconcile.csv",
+            ["bound", "--n", "10", "--k", "2", "--reconcile", "--format", "csv"],
+            None,
+        ),
+    ],
+)
+def test_golden_outputs_are_byte_identical(golden, args, stdin):
+    res = subprocess.run(
+        [sys.executable, "-m", "bindex", *args],
+        input=(GOLDEN / stdin).read_bytes() if stdin else None,
+        capture_output=True,
+        timeout=120,
+    )
+    assert res.returncode == 0
+    assert res.stdout == (GOLDEN / golden).read_bytes()
+
+
 def test_enumerate_counts_and_fields():
     res = run("enumerate", "--n", "5")
     assert res.returncode == 0
@@ -274,3 +327,17 @@ def test_console_script_matches_module_run():
     )
     assert script.returncode == 0
     assert script.stdout == run("--help").stdout
+
+
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    res = subprocess.run(
+        [sys.executable, "-c", block],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert "48 (2,)" in lines and "match" in lines  # the values its comments state

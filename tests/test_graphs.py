@@ -55,8 +55,8 @@ def test_construction_rejects_bad_edges():
 
 def test_bfs_distances_on_path():
     g = path(4)
-    assert distances_from(g, 0).dist == (0, 1, 2, 3)
-    assert distances_from(g, 2).dist == (2, 1, 0, 1)
+    assert distances_from(g, 0) == (0, 1, 2, 3)
+    assert distances_from(g, 2) == (2, 1, 0, 1)
     assert eccentricity(g, 0) == 3
     assert eccentricity(g, 1) == 2
     assert transmission(g, 0) == 6
@@ -66,8 +66,8 @@ def test_bfs_distances_on_path():
 def test_bfs_marks_unreachable():
     g = new_graph(4, [(0, 1), (2, 3)])
     row = distances_from(g, 0)
-    assert row.dist[1] == 1
-    assert row.dist[2] == UNREACHABLE and row.dist[3] == UNREACHABLE
+    assert row[1] == 1
+    assert row[2] == UNREACHABLE and row[3] == UNREACHABLE
     assert not is_connected(g)
     with pytest.raises(ValueError):
         eccentricity(g, 0)

@@ -114,7 +114,7 @@ def per_source_profile(g):
     """The reference profile: a full BFS distance row from every vertex."""
     rows = []
     for u in range(g.n):
-        dist = distances_from(g, u).dist
+        dist = distances_from(g, u)
         if UNREACHABLE in dist:
             raise ValueError("index undefined: graph is disconnected")
         ecc = max(dist)

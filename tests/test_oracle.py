@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from bindex import oracle
 from bindex.constructors import (
     BkSpec,
     DecoratedCore,
@@ -15,6 +16,7 @@ from bindex.constructors import (
     realize,
     star,
 )
+from bindex.extremal import admissible_x
 from bindex.graphs import bridges, certificate, new_graph
 from bindex.indices import IndexKind
 from bindex.oracle import (
@@ -107,6 +109,29 @@ def test_verification_sweep_streams_and_skips():
     ranks = [(r.n, r.k, order.index(r.index)) for r in reports]
     assert ranks == sorted(ranks)
     assert list(verification_sweep([5], skip=keys)) == []
+    one_shot = verification_sweep([5, 6], [W], ks=iter([1]))
+    assert [(r.n, r.k) for r in one_shot] == [(5, 1), (6, 1)]
+
+
+def test_verification_sweep_rejects_n_above_cap_before_any_work(monkeypatch):
+    enumerated = []
+    monkeypatch.setattr(
+        oracle, "enumerate_connected_bipartite", lambda n, cap: enumerated.append(n) or []
+    )
+    with pytest.raises(ValueError, match=r"n=10 above cap=9"):
+        next(verification_sweep([5, 10], cap=9))
+    assert enumerated == []
+
+
+def test_verification_sweep_certificates_use_the_same_cap(monkeypatch):
+    # n = 11 is past certificate()'s default limit; cap=11 must cover it
+    family = [b_graph(BkSpec(11, k, x)) for k in (1, 2) for x in admissible_x(11, k)]
+    monkeypatch.setattr(oracle, "enumerate_connected_bipartite", lambda n, cap: family)
+    (report,) = verification_sweep([11], [W], ks=[1], cap=11)
+    assert report.matched
+    assert report.oracle_certificates == tuple(
+        sorted(certificate(b_graph(BkSpec(11, 1, x)), 11).decode() for x in (4, 5))
+    )
 
 
 def test_report_round_trip(tmp_path):
