@@ -249,10 +249,12 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict, timing) -> None:
     or family-mismatch. Rows are written and flushed as they are found, so
     an interrupted run keeps its finished rows for --resume.
     """
+    if resume and not out:
+        raise click.UsageError("--resume needs --out")
     kinds = _kinds(index_sel)
     ks_list = sorted(set(ks)) if ks else None
     known: dict = {}
-    if out and resume and os.path.exists(out):
+    if resume and os.path.exists(out):
         known = load_reports(out)
     reports = verification_sweep(ns, kinds, ks_list, cap, timing, skip=set(known))
     written = 0

@@ -182,6 +182,13 @@ def test_verify_resume_names_file_and_line_of_a_cut_row(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_verify_resume_without_out_is_a_usage_error():
+    res = run("verify", "--n", "5", "--resume")
+    assert res.returncode == 1
+    assert "Error: --resume needs --out" in res.stderr
+    assert res.stdout == ""  # refused before any row was computed
+
+
 def test_verify_streams_rows_so_an_interrupted_run_can_resume(tmp_path, monkeypatch):
     real = cli.verification_sweep
 

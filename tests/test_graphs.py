@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bindex.graphs import (
     UNREACHABLE,
@@ -136,6 +138,26 @@ def test_graph6_round_trip():
     enc = graph6_encode(big)
     assert enc.startswith("~")
     assert graph6_decode(enc) == big
+
+
+@st.composite
+def any_graphs(draw, max_n=100):
+    """Any graph on 1..max_n vertices: an edge mask over the vertex pairs."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    mask = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return new_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(any_graphs())
+@example(path(62))  # the largest order with a one-byte header
+@example(path(63))  # the smallest with the '~' header
+@example(new_graph(63, [(u, v) for v in range(63) for u in range(v)]))
+def test_graph6_round_trip_any_graph(g):
+    enc = graph6_encode(g)
+    assert enc.startswith("~") == (g.n > 62)
+    assert graph6_decode(enc) == g
 
 
 def test_graph6_decode_rejects_garbage():

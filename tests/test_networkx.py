@@ -19,9 +19,11 @@ from bindex.graphs import (
     UNREACHABLE,
     bipartition,
     bridges,
+    certificate,
     distances_from,
     is_connected,
     new_graph,
+    relabel,
 )
 from bindex.indices import wiener
 from bindex.oracle import complete_bipartite_blocks
@@ -31,8 +33,9 @@ nx = pytest.importorskip("networkx")
 
 
 @st.composite
-def graphs(draw, max_n=9):
-    n = draw(st.integers(1, max_n))
+def graphs(draw, max_n=9, n=None):
+    if n is None:
+        n = draw(st.integers(1, max_n))
     color = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     pairs = list(combinations(range(n), 2))
     if draw(st.booleans()):  # keep only edges across the coloring
@@ -61,6 +64,50 @@ def with_cases(test):
     for g in CASES:
         test = example(g)(test)
     return settings(max_examples=300, deadline=None, database=None)(given(graphs())(test))
+
+
+@st.composite
+def graph_pairs(draw):
+    """(a, b) on the same vertex count: b is a relabelled copy of a, the
+    copy with one edge moved to a non-edge, or an independent graph."""
+    a = draw(graphs(max_n=8))
+    perm = draw(st.permutations(range(a.n)))
+    how = draw(st.sampled_from(["copy", "move", "other"]))
+    if how == "other":
+        return a, draw(graphs(n=a.n))
+    b = a
+    edges = a.edges()
+    non_edges = [p for p in combinations(range(a.n), 2) if not a.has_edge(*p)]
+    if how == "move" and edges and non_edges:
+        gone = draw(st.sampled_from(edges))
+        added = draw(st.sampled_from(non_edges))
+        b = new_graph(a.n, [e for e in edges if e != gone] + [added])
+    return a, relabel(b, perm)
+
+
+C6 = new_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+TWO_TRIANGLES = new_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+STAR_AND_VERTEX = new_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+SQUARE_AND_VERTEX = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graph_pairs())
+@example((K1, K1))
+@example((C6, TWO_TRIANGLES))  # same degrees, not isomorphic
+@example((STAR_AND_VERTEX, SQUARE_AND_VERTEX))  # cospectral, not isomorphic
+@example((C6, relabel(C6, [3, 0, 5, 1, 4, 2])))
+def test_certificate_matches_isomorphism(pair):
+    a, b = pair
+    assert (certificate(a) == certificate(b)) == nx.is_isomorphic(to_nx(a), to_nx(b))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(graphs(max_n=8), st.randoms(use_true_random=False))
+def test_certificate_survives_relabelling(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    assert certificate(relabel(g, perm)) == certificate(g)
 
 
 @with_cases

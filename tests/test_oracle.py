@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,7 @@ from bindex.constructors import (
     star,
 )
 from bindex.extremal import admissible_x
-from bindex.graphs import bridges, certificate, new_graph
+from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
 from bindex.indices import IndexKind
 from bindex.oracle import (
     VerificationReport,
@@ -48,8 +49,6 @@ def test_enumeration_class_counts():
 
 
 def test_enumeration_emits_connected_bipartite_graphs():
-    from bindex.graphs import bipartition, is_connected
-
     for g in enumerate_connected_bipartite(6):
         assert is_connected(g)
         assert bipartition(g) is not None
@@ -183,8 +182,29 @@ def test_labeled_scan_counts():
     assert len(labeled_connected_bipartite_masks(3)) == 3
     # 16 labeled trees plus the 3 labelings of the 4-cycle
     assert len(labeled_connected_bipartite_masks(4)) == 19
+    # labeled connected bipartite graphs, OEIS A001832
+    assert len(labeled_connected_bipartite_masks(5)) == 195
+    assert len(labeled_connected_bipartite_masks(6)) == 3031
+    assert len(labeled_connected_bipartite_masks(7)) == 67263
     with pytest.raises(ValueError):
         labeled_connected_bipartite_masks(8)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_labeled_scan_matches_per_mask_filter(n):
+    """The block-skipping scan keeps exactly what a plain filter keeps, in order.
+
+    Bit i of a mask is the i-th vertex pair in lexicographic order. Masks
+    for n <= 5 span fewer than three 7-bit chunks, so they also cover the
+    padded chunks.
+    """
+    pairs = list(combinations(range(n), 2))
+    want = []
+    for mask in range(1 << len(pairs)):
+        g = new_graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        if is_connected(g) and bipartition(g) is not None:
+            want.append(mask)
+    assert labeled_connected_bipartite_masks(n) == want
 
 
 def test_labeled_classes_agree_with_generator():
