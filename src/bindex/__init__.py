@@ -39,13 +39,11 @@ from .graphs import (
     bridges,
     certificate,
     distances_from,
-    eccentricity,
     graph6_decode,
     graph6_encode,
     is_connected,
     new_graph,
     relabel,
-    transmission,
 )
 from .indices import (
     IndexKind,
@@ -58,11 +56,9 @@ from .indices import (
     wiener,
 )
 from .oracle import (
-    ExtremalResult,
     VerificationReport,
     complete_bipartite_blocks,
     enumerate_connected_bipartite,
-    extremal_search,
     filter_by_cut_edges,
     labeled_class_certificates,
     verification_sweep,
@@ -90,7 +86,6 @@ __all__ = [
     "CaseRow",
     "CutEdgeContext",
     "DecoratedCore",
-    "ExtremalResult",
     "Graph",
     "IndexKind",
     "Infeasible",
@@ -114,10 +109,8 @@ __all__ = [
     "contract_bridge",
     "cut_edge_context",
     "distances_from",
-    "eccentricity",
     "eds",
     "enumerate_connected_bipartite",
-    "extremal_search",
     "feasible_cut_edge_counts",
     "filter_by_cut_edges",
     "graph6_decode",
@@ -137,7 +130,6 @@ __all__ = [
     "shift_pendants_within_part",
     "star",
     "star_value",
-    "transmission",
     "verification_sweep",
     "verify_bound",
     "wiener",

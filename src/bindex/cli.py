@@ -36,6 +36,7 @@ from .transforms import (
     monotonicity_probe,
     shift_pendants_across_parts,
     shift_pendants_within_part,
+    sign_holds,
 )
 
 _INDEX_CHOICES = [kind.value for kind in IndexKind] + ["all"]
@@ -234,7 +235,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
 
 @cli.command("verify")
 @click.option("--n", "ns", type=int, multiple=True, required=True, help="repeatable")
-@click.option("--k", "ks", type=int, multiple=True, help="restrict to these k (repeatable)")
+@click.option("--k", "ks", type=int, multiple=True, help="restrict to these k (repeatable); exit 2 if a k is a bound row for no --n")
 @_index_option
 @click.option("--cap", type=int, default=9, show_default=True, help="enumeration budget guard")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write JSONL here instead of stdout")
@@ -252,11 +253,10 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict, timing) -> None:
     if resume and not out:
         raise click.UsageError("--resume needs --out")
     kinds = _kinds(index_sel)
-    ks_list = sorted(set(ks)) if ks else None
     known: dict = {}
     if resume and os.path.exists(out):
         known = load_reports(out)
-    reports = verification_sweep(ns, kinds, ks_list, cap, timing, skip=set(known))
+    reports = verification_sweep(ns, kinds, ks or None, cap, timing, skip=set(known))
     written = 0
     mismatched = []
     sink = open(out, "a" if known else "w", encoding="ascii") if out else nullcontext()
@@ -330,7 +330,7 @@ def _delta_rows(before, after, prediction=None) -> tuple[list[dict], bool]:
             signs = prediction.signs if prediction is not None else EDGE_ADDITION_SIGNS
             sign = signs[kind]
             expected = {-1: "<0", 1: ">0", 0: ">=0"}[sign]
-            ok = (delta < 0, delta >= 0, delta > 0)[sign + 1]
+            ok = sign_holds(delta, sign)
         all_ok = all_ok and ok
         rows.append(
             {

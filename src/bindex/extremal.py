@@ -109,7 +109,7 @@ def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
     _check_params(n, k)
     direction = kind.bound_direction
     if k == n - 1:
-        value = Fraction(compute(kind, star(n)))
+        value = star_value(kind, n)
         return BoundResult(kind, n, k, direction, value, (1,), (BkSpec(n, n - 1, 1),))
     xs = admissible_x(n, k)
     values = {x: closed_form(kind, n, k, x) for x in xs}
@@ -310,5 +310,5 @@ def reconcile(kind: IndexKind, n: int, k: int) -> Reconciliation:
 
 
 def star_value(kind: IndexKind, n: int) -> Fraction:
-    """Directly computed index of S_n (used by tests and the CLI)."""
+    """Directly computed index of S_n: the tree row of optimize."""
     return Fraction(compute(kind, star(n)))

@@ -3,9 +3,8 @@
 Vertices are dense integers 0..n-1. Adjacency is one Python int bitmask per
 vertex, so there is no hard size cap; masks stay fast at the sizes this
 package works with (n up to a few hundred). Everything here is deterministic
-and side-effect free: distance rows, eccentricities, transmissions, cut
-edges, bipartitions, canonical certificates and the graph6 interchange
-format.
+and side-effect free: distance rows, cut edges, bipartitions, canonical
+certificates and the graph6 interchange format.
 
 Breadth-first search is one primitive, layers(), which yields the BFS
 layers from one root as vertex masks. Distances, connectivity, bipartitions
@@ -135,22 +134,6 @@ def distances_from(g: Graph, source: int) -> tuple[int, ...]:
 
 def is_connected(g: Graph) -> bool:
     return sum(layers(g.adj, 0)) == (1 << g.n) - 1
-
-
-def eccentricity(g: Graph, u: int) -> int:
-    """Max distance from u; raises on disconnected graphs."""
-    dist = distances_from(g, u)
-    if UNREACHABLE in dist:
-        raise ValueError("eccentricity undefined: graph is disconnected")
-    return max(dist)
-
-
-def transmission(g: Graph, u: int) -> int:
-    """Sum of distances from u to every vertex; raises on disconnected graphs."""
-    dist = distances_from(g, u)
-    if UNREACHABLE in dist:
-        raise ValueError("transmission undefined: graph is disconnected")
-    return sum(dist)
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:

@@ -16,9 +16,12 @@ the two paths share no code, which is the point: their agreement is
 checked, not assumed, and a block skipped in error would show as a count
 mismatch against the enumeration and OEIS A001832.
 
-One size guard, cap, bounds both enumeration and certificates, and
-verification_sweep checks every n against it before any work starts.
-Everything runs in one process; the largest sweep (n = 10) takes seconds.
+verification_sweep is the one verification path: it enumerates each n
+once, groups the classes by cut edge count, finds each index's optimum and
+certifies it next to the predicted family. verify_bound returns one of its
+rows. One size guard, cap, bounds both enumeration and certificates, and
+the sweep checks every n and k before any work starts. Everything runs in
+one process; the largest sweep (n = 10) takes seconds.
 """
 
 from __future__ import annotations
@@ -119,18 +122,6 @@ def filter_by_cut_edges(graphs: Iterable[Graph], k: int) -> list[Graph]:
     return [g for g in graphs if len(bridges(g)) == k]
 
 
-@dataclass(frozen=True)
-class ExtremalResult:
-    """Best value over an exhaustively enumerated candidate set."""
-
-    index: IndexKind
-    n: int
-    k: int
-    value: Fraction
-    graphs: tuple[Graph, ...]
-    certificates: tuple[str, ...]
-
-
 def _best_multi(
     candidates: Iterable[Graph], kinds: Iterable[IndexKind]
 ) -> dict[IndexKind, tuple[Fraction, list[Graph]]]:
@@ -152,19 +143,6 @@ def _best_multi(
 
 def _certs(graphs: Iterable[Graph], cap: int) -> tuple[str, ...]:
     return tuple(sorted(certificate(g, limit=cap).decode("ascii") for g in graphs))
-
-
-def extremal_search(
-    kind: IndexKind, n: int, k: int, cap: int = DEFAULT_CAP
-) -> ExtremalResult:
-    """Exhaustive optimum of one index over {connected, bipartite, k cut edges}."""
-    candidates = filter_by_cut_edges(enumerate_connected_bipartite(n, cap), k)
-    if not candidates:
-        raise Infeasible(
-            f"no connected bipartite graph on n={n} vertices has exactly k={k} cut edges"
-        )
-    value, graphs = _best_multi(candidates, [kind])[kind]
-    return ExtremalResult(kind, n, k, value, tuple(graphs), _certs(graphs, cap))
 
 
 @dataclass(frozen=True)
@@ -223,33 +201,6 @@ def _verdict(report: VerificationReport) -> str:
     return "match"
 
 
-def _predicted(
-    kind: IndexKind, n: int, k: int, cap: int
-) -> tuple[Fraction, tuple[str, ...]]:
-    bound = optimize(kind, n, k)
-    return bound.value, _certs((b_graph(spec) for spec in bound.family), cap)
-
-
-def verify_bound(
-    kind: IndexKind, n: int, k: int, cap: int = DEFAULT_CAP
-) -> VerificationReport:
-    """Exhaustively check one predicted bound row: value and extremal set."""
-    _check_cap(n, cap)
-    predicted_value, predicted_certs = _predicted(kind, n, k, cap)
-    found = extremal_search(kind, n, k, cap)
-    report = VerificationReport(
-        kind,
-        n,
-        k,
-        found.value,
-        found.certificates,
-        predicted_value,
-        predicted_certs,
-        "",
-    )
-    return replace(report, verdict=_verdict(report))
-
-
 def bound_rows(n: int, ks: Iterable[int] | None = None) -> list[int]:
     """Cut edge counts the bounds cover at this n: 1..n-4 plus the tree row."""
     if n < 5:
@@ -273,17 +224,36 @@ def verification_sweep(
 
     Every n is checked against cap and the bounds' range when this is
     called, before any enumeration, so a bad request fails before the
-    first row. Reports stream out ordered by n, then k, then index. skip
-    holds (index value, n, k) keys of rows already done (resume support);
-    an n whose rows are all skipped is never enumerated. elapsed_ms (only
-    with timing=True) covers the shared (n, k) candidate scan.
+    first row; so does a requested k that is a bound row for none of the
+    requested n (Infeasible). A k that fits only some n keeps just their
+    rows. Reports stream out ordered by n, then k, then index. skip holds
+    (index value, n, k) keys of rows already done (resume support); an n
+    whose rows are all skipped is never enumerated. elapsed_ms (only with
+    timing=True) covers the shared (n, k) candidate scan.
     """
-    ks = None if ks is None else set(ks)  # read once, used for every n
+    ns = sorted(set(ns))  # ns and ks may be iterators: read each once
+    ks = None if ks is None else set(ks)
     plan = []
-    for n in sorted(set(ns)):
+    for n in ns:
         _check_cap(n, cap)
         plan.append((n, bound_rows(n, ks)))
+    if ks is not None:
+        missing = ks.difference(*(rows for _, rows in plan))
+        if missing:
+            raise Infeasible(
+                f"no bound row for k={', '.join(map(str, sorted(missing)))} at "
+                f"n={', '.join(map(str, ns))}: each n has rows 1 <= k <= n-4 "
+                "and the tree row k = n-1"
+            )
     return _sweep(plan, list(kinds or IndexKind), cap, timing, set(skip))
+
+
+def verify_bound(
+    kind: IndexKind, n: int, k: int, cap: int = DEFAULT_CAP
+) -> VerificationReport:
+    """The one verification_sweep row for (kind, n, k): value and extremal set."""
+    (report,) = verification_sweep([n], [kind], [k], cap)
+    return report
 
 
 def _sweep(
@@ -316,7 +286,7 @@ def _sweep(
             best = _best_multi(candidates, todo[k])
             elapsed = (time.perf_counter() - start) * 1000.0
             for kind in todo[k]:
-                predicted_value, predicted_certs = _predicted(kind, n, k, cap)
+                bound = optimize(kind, n, k)
                 value, graphs = best[kind]
                 report = VerificationReport(
                     kind,
@@ -324,8 +294,8 @@ def _sweep(
                     k,
                     value,
                     _certs(graphs, cap),
-                    predicted_value,
-                    predicted_certs,
+                    bound.value,
+                    _certs((b_graph(spec) for spec in bound.family), cap),
                     "",
                     elapsed if timing else None,
                 )

@@ -45,7 +45,8 @@ def index_deltas(before: Graph, after: Graph) -> dict[IndexKind, int | Fraction]
     return {kind: b[kind] - a[kind] for kind in IndexKind}
 
 
-def _sign_ok(delta, sign: int) -> bool:
+def sign_holds(delta, sign: int) -> bool:
+    """Whether delta moves the way sign (DOWN, UP or FLAT_OR_UP) promises."""
     if sign == DOWN:
         return delta < 0
     if sign == UP:
@@ -108,9 +109,6 @@ def contract_bridge(ctx: CutEdgeContext) -> Graph:
     return new_graph(g.n, edges)
 
 
-CONTRACT_SIGNS = EDGE_ADDITION_SIGNS  # same directions, all strict
-
-
 @dataclass(frozen=True, eq=False)
 class ShiftPrediction:
     """Contract of one pendant shift: exact deltas where known, else signs."""
@@ -124,7 +122,7 @@ class ShiftPrediction:
         for kind, want in self.exact.items():
             if deltas[kind] != want:
                 return False
-        return all(_sign_ok(deltas[k], s) for k, s in self.signs.items())
+        return all(sign_holds(deltas[k], s) for k, s in self.signs.items())
 
 
 def _part_of(core: DecoratedCore, vertex: int) -> int:
@@ -252,6 +250,6 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> P
     probes = []
     for u, v in absent:
         deltas = index_deltas(g, add_edge(g, u, v))
-        ok = all(_sign_ok(deltas[k], s) for k, s in EDGE_ADDITION_SIGNS.items())
+        ok = all(sign_holds(deltas[k], s) for k, s in EDGE_ADDITION_SIGNS.items())
         probes.append(EdgeProbe(u, v, deltas, ok))
     return ProbeReport(graph6_encode(g), tuple(probes), all(p.consistent for p in probes))

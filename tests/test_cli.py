@@ -189,6 +189,29 @@ def test_verify_resume_without_out_is_a_usage_error():
     assert res.stdout == ""  # refused before any row was computed
 
 
+@pytest.mark.parametrize("k", ["5", "0", "9"])
+def test_verify_k_that_is_no_bound_row_exits_2(tmp_path, k):
+    # n = 8 has bound rows k = 1..4 and 7
+    res = run("verify", "--n", "8", "--k", k)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert f"error: no bound row for k={k} at n=8:" in res.stderr
+    out = tmp_path / "rows.jsonl"
+    out.write_text("earlier rows\n")
+    res = run("verify", "--n", "8", "--k", k, "--out", str(out))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert out.read_text() == "earlier rows\n"  # refused before --out was opened
+
+
+def test_verify_k_keeps_the_n_it_fits():
+    # k = 2 is a bound row at n = 8 only (n = 5 has rows 1 and 4)
+    res = run("verify", "--n", "5", "--n", "8", "--k", "2", "--index", "w")
+    assert res.returncode == 0
+    rows = [json.loads(s) for s in res.stdout.splitlines()]
+    assert [(d["n"], d["k"]) for d in rows] == [(8, 2)]
+
+
 def test_verify_streams_rows_so_an_interrupted_run_can_resume(tmp_path, monkeypatch):
     real = cli.verification_sweep
 

@@ -14,13 +14,11 @@ from bindex.graphs import (
     bridges,
     certificate,
     distances_from,
-    eccentricity,
     graph6_decode,
     graph6_encode,
     is_connected,
     new_graph,
     relabel,
-    transmission,
 )
 from conftest import random_connected_bipartite, scrambled
 
@@ -59,10 +57,6 @@ def test_bfs_distances_on_path():
     g = path(4)
     assert distances_from(g, 0) == (0, 1, 2, 3)
     assert distances_from(g, 2) == (2, 1, 0, 1)
-    assert eccentricity(g, 0) == 3
-    assert eccentricity(g, 1) == 2
-    assert transmission(g, 0) == 6
-    assert transmission(g, 1) == 4
 
 
 def test_bfs_marks_unreachable():
@@ -71,10 +65,6 @@ def test_bfs_marks_unreachable():
     assert row[1] == 1
     assert row[2] == UNREACHABLE and row[3] == UNREACHABLE
     assert not is_connected(g)
-    with pytest.raises(ValueError):
-        eccentricity(g, 0)
-    with pytest.raises(ValueError):
-        transmission(g, 0)
 
 
 def test_is_connected():

@@ -22,7 +22,7 @@ from bindex.indices import (
     hyper_wiener,
     wiener,
 )
-from bindex.graphs import UNREACHABLE, distances_from, new_graph
+from bindex.graphs import UNREACHABLE, distances_from, is_connected, new_graph
 from bindex.oracle import enumerate_connected_bipartite
 
 F = Fraction
@@ -170,3 +170,12 @@ def test_profile_matches_per_source_bfs_on_random_graphs(g):
     # disconnected graphs must raise the same ValueError on both sides; K_1
     # has a profile on both, and its cei error is checked above
     assert outcome(_profile, g) == outcome(per_source_profile, g)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(twin_blowups().filter(lambda g: g.n >= 2 and is_connected(g)))
+@example(new_graph(3, [(0, 1), (0, 2), (1, 2)]))
+def test_alternate_formulations_agree_on_random_graphs(g):
+    # non-bipartite and twin-rich connected graphs, beyond the small classes
+    assert eds_by_pairs(g) == eds(g)
+    assert cei_by_edges(g) == cei(g)

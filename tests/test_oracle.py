@@ -1,4 +1,8 @@
-"""Exhaustive enumeration, extremal search, verification plumbing."""
+"""Exhaustive enumeration, the verification sweep and its plumbing.
+
+verify_bound is one row of verification_sweep, so its tests also cover the
+sweep's optimum, certificates and up-front request checks.
+"""
 
 from __future__ import annotations
 
@@ -19,12 +23,11 @@ from bindex.constructors import (
 )
 from bindex.extremal import admissible_x
 from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
-from bindex.indices import IndexKind
+from bindex.indices import IndexKind, wiener
 from bindex.oracle import (
     VerificationReport,
     complete_bipartite_blocks,
     enumerate_connected_bipartite,
-    extremal_search,
     filter_by_cut_edges,
     labeled_class_certificates,
     labeled_connected_bipartite_masks,
@@ -67,19 +70,44 @@ def test_cut_edge_histogram_n6():
     assert filter_by_cut_edges(enumerate_connected_bipartite(6), 2) == by_k[2]
 
 
-def test_extremal_search_known_optimum():
-    res = extremal_search(W, 8, 2)
-    assert res.value == 48
-    assert res.certificates == (certificate(b_graph(BkSpec(8, 2, 2))).decode(),)
+def test_verify_bound_known_optimum():
+    report = verify_bound(W, 8, 2)
+    assert report.oracle_value == 48
+    assert report.oracle_certificates == (certificate(b_graph(BkSpec(8, 2, 2))).decode(),)
     # the other family member is strictly worse here
-    from bindex.indices import wiener
-
     assert wiener(b_graph(BkSpec(8, 2, 3))) == 49
 
 
-def test_extremal_search_infeasible_k():
+def test_verify_bound_infeasible_k():
     with pytest.raises(Infeasible):
-        extremal_search(W, 8, 5)  # n-3 cut edges never occur
+        verify_bound(W, 8, 5)  # n-3 cut edges never occur
+
+
+def test_verify_bound_is_the_sweep_row():
+    sweep = {(r.index, r.n, r.k): r for r in verification_sweep(range(5, 9))}
+    assert len(sweep) == sum(len(bound_rows(n)) for n in range(5, 9)) * len(IndexKind)
+    for (kind, n, k), row in sweep.items():
+        assert verify_bound(kind, n, k) == row
+
+
+@pytest.mark.parametrize("k", [5, 0, 9])
+def test_verification_sweep_rejects_k_that_is_no_bound_row(monkeypatch, k):
+    # n = 8 has rows 1..4 and 7; k = 5 = n-3 never occurs
+    enumerated = []
+    monkeypatch.setattr(
+        oracle, "enumerate_connected_bipartite", lambda n, cap: enumerated.append(n) or []
+    )
+    with pytest.raises(Infeasible, match=rf"k={k} at n=8\b"):
+        verification_sweep([8], ks=[k])
+    with pytest.raises(Infeasible, match=rf"k={k} at n=5, 8\b"):
+        verification_sweep(iter([8, 5]), ks=iter([k, 1]))
+    assert enumerated == []
+
+
+def test_verification_sweep_keeps_k_that_fits_some_n():
+    # k = 2 is a bound row at n = 8 but not at n = 5 (rows 1 and 4)
+    rows = verification_sweep(iter([5, 8]), [W], ks=[2])
+    assert [(r.n, r.k) for r in rows] == [(8, 2)]
 
 
 def test_bound_rows():

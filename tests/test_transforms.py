@@ -6,12 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bindex.constructors import DecoratedCore, realize, star
 from bindex.graphs import certificate, new_graph
 from bindex.indices import IndexKind, all_indices
 from bindex.transforms import (
-    CONTRACT_SIGNS,
     DOWN,
     EDGE_ADDITION_SIGNS,
     FLAT_OR_UP,
@@ -94,7 +95,7 @@ def test_contract_bridge_directions_on_seeded_contexts():
         after = contract_bridge(ctx)
         assert after.n == ctx.graph.n
         assert after.edge_count == ctx.graph.edge_count
-        assert signs_hold(index_deltas(ctx.graph, after), CONTRACT_SIGNS)
+        assert signs_hold(index_deltas(ctx.graph, after), EDGE_ADDITION_SIGNS)
 
 
 def test_within_part_shift_minimal_example():
@@ -160,6 +161,72 @@ def test_within_part_shift_rejects_bad_input():
         shift_pendants_within_part(DecoratedCore.make(2, 2, {0: 1}), 0, 1)
     with pytest.raises(ValueError):
         shift_pendants_within_part(DecoratedCore.make(1, 3, {1: 1, 2: 1}), 1, 2)
+
+
+@st.composite
+def decorated_cores(draw):
+    """K_{s,t} with 2 <= s <= t <= 6 and 0..4 pendants on every core vertex."""
+    t = draw(st.integers(2, 6))
+    s = draw(st.integers(2, t))
+    pendants = draw(st.lists(st.integers(0, 4), min_size=s + t, max_size=s + t))
+    return DecoratedCore(s, t, tuple(pendants))
+
+
+@st.composite
+def within_part_shifts(draw):
+    """Any decorated core with any donor/receiver pair from one core part."""
+    core = draw(decorated_cores())
+    part = draw(st.sampled_from([range(core.s), range(core.s, core.s + core.t)]))
+    return core, draw(st.sampled_from(part)), draw(st.sampled_from(part))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(within_part_shifts())
+@example((DecoratedCore.make(2, 2, {0: 1, 1: 1}), 0, 0))
+@example((DecoratedCore.make(3, 3, {0: 2, 1: 3, 2: 1}), 0, 1))
+def test_within_part_shift_contract_on_any_core(shift):
+    core, donor, receiver = shift
+    a, b = core.pendants[donor], core.pendants[receiver]
+    if donor == receiver or a < 1 or b < 1:
+        reason = "must differ" if donor == receiver else "at least one pendant"
+        with pytest.raises(ValueError, match=reason):
+            shift_pendants_within_part(core, donor, receiver)
+        return
+    pred = shift_pendants_within_part(core, donor, receiver)
+    deltas = index_deltas(realize(core), realize(pred.shifted))
+    assert pred.check(deltas)
+    assert deltas[IndexKind.W] == -2 * a * b
+    assert deltas[IndexKind.WW] == -7 * a * b
+    assert deltas[IndexKind.H] == F(a * b, 4)
+
+
+@st.composite
+def across_part_cores(draw):
+    """Any decorated core, or one with pendants left only on vertices 0 and s."""
+    core = draw(decorated_cores())
+    if draw(st.booleans()):
+        ends = {0: core.pendants[0], core.s: core.pendants[core.s]}
+        core = DecoratedCore.make(core.s, core.t, ends)
+    return core
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(across_part_cores())
+@example(DecoratedCore.make(2, 3, {0: 1, 2: 1}))
+def test_across_part_shift_contract_on_any_core(core):
+    s, t = core.s, core.t
+    a, b = core.pendants[0], core.pendants[s]
+    others = any(count for v, count in enumerate(core.pendants) if v not in (0, s))
+    if a < 1 or b < 1 or others:
+        reason = "need pendants on" if a < 1 or b < 1 else "only on vertices 0 and s"
+        with pytest.raises(ValueError, match=reason):
+            shift_pendants_across_parts(core)
+        return
+    pred = shift_pendants_across_parts(core)
+    deltas = index_deltas(realize(core), realize(pred.shifted))
+    assert pred.check(deltas)
+    assert deltas[IndexKind.W] == -a * b + b * (s - t)
+    assert deltas[IndexKind.CEI] == F(s * (t - 1), 6)
 
 
 def test_across_part_shift_minimal_example():
