@@ -45,16 +45,7 @@ from .graphs import (
     new_graph,
     relabel,
 )
-from .indices import (
-    IndexKind,
-    all_indices,
-    cei,
-    compute,
-    eds,
-    harary,
-    hyper_wiener,
-    wiener,
-)
+from .indices import IndexKind, all_indices, compute
 from .oracle import (
     VerificationReport,
     complete_bipartite_blocks,
@@ -100,7 +91,6 @@ __all__ = [
     "bipartition",
     "bridges",
     "case_table",
-    "cei",
     "certificate",
     "closed_form",
     "complete_bipartite",
@@ -109,14 +99,11 @@ __all__ = [
     "contract_bridge",
     "cut_edge_context",
     "distances_from",
-    "eds",
     "enumerate_connected_bipartite",
     "feasible_cut_edge_counts",
     "filter_by_cut_edges",
     "graph6_decode",
     "graph6_encode",
-    "harary",
-    "hyper_wiener",
     "index_deltas",
     "is_connected",
     "labeled_class_certificates",
@@ -132,5 +119,4 @@ __all__ = [
     "star_value",
     "verification_sweep",
     "verify_bound",
-    "wiener",
 ]

@@ -1,8 +1,8 @@
 """Batch command line around the library.
 
 Every command writes deterministic output: fixed column orders, exact
-rationals ("22/3"), newline-terminated CSV, no timestamps. Timings appear
-only under --timing, so default reruns are byte-identical.
+rationals ("22/3"), newline-terminated CSV, no timestamps and no timings,
+so reruns are byte-identical.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible parameters,
 3 verification or contract mismatch under --strict.
@@ -21,7 +21,7 @@ import click
 from .constructors import BkSpec, DecoratedCore, Infeasible, b_graph, complete_bipartite, realize, star
 from .extremal import admissible_x, closed_form, optimize, reconcile
 from .graphs import bridges, certificate, graph6_decode, graph6_encode
-from .indices import IndexKind, compute
+from .indices import IndexKind, all_indices, compute
 from .oracle import (
     enumerate_connected_bipartite,
     filter_by_cut_edges,
@@ -135,7 +135,7 @@ def cmd_indices(source: str, index_sel: str, fmt: str) -> None:
             row["n"] = g.n
             row["m"] = g.edge_count
             # all or nothing: assign only after every index succeeded
-            row.update({kind.value: str(compute(kind, g)) for kind in kinds})
+            row.update({kind.value: str(v) for kind, v in all_indices(g, kinds).items()})
         except ValueError as e:
             row["error"] = str(e)
         rows.append(row)
@@ -241,8 +241,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write JSONL here instead of stdout")
 @click.option("--resume", is_flag=True, help="skip rows already present in --out")
 @click.option("--strict", is_flag=True, help="exit 3 when any row mismatches")
-@click.option("--timing", is_flag=True, help="include elapsed_ms fields")
-def cmd_verify(ns, ks, index_sel, cap, out, resume, strict, timing) -> None:
+def cmd_verify(ns, ks, index_sel, cap, out, resume, strict) -> None:
     """Exhaustively verify the predicted bounds, one JSONL row per check.
 
     Each row states the oracle's optimum and extremal certificates next to
@@ -256,7 +255,7 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict, timing) -> None:
     known: dict = {}
     if resume and os.path.exists(out):
         known = load_reports(out)
-    reports = verification_sweep(ns, kinds, ks or None, cap, timing, skip=set(known))
+    reports = verification_sweep(ns, kinds, ks or None, cap, skip=set(known))
     written = 0
     mismatched = []
     sink = open(out, "a" if known else "w", encoding="ascii") if out else nullcontext()

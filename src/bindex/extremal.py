@@ -57,17 +57,17 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
         raise Infeasible("the tree row k = n-1 has no x freedom")
     if x != int(x) or int(x) not in admissible_x(n, k):
         raise Infeasible(f"x={x} not admissible: need integer 2 <= x <= n-k-x")
-    x = Fraction(x)
+    x = int(x)
     if kind is IndexKind.W:
-        return x * x + (2 * k - n) * x + n * n - n - 2 * k
+        return Fraction(x * x + (2 * k - n) * x + n * n - n - 2 * k)
     if kind is IndexKind.WW:
-        return 2 * x * x + (5 * k - 2 * n) * x + Fraction(3 * n * n - 3 * n, 2) - 5 * k
+        return Fraction(2 * x * x + (5 * k - 2 * n) * x + 3 * n * (n - 1) // 2 - 5 * k)
     if kind is IndexKind.H:
         return Fraction(-6 * x * x + (6 * n - 8 * k) * x + 3 * n * n - 3 * n + 8 * k, 12)
     if kind is IndexKind.CEI:
         return Fraction(-5 * x * x + (5 * n - 5 * k - 1) * x + n + 4 * k, 6)
     if kind is IndexKind.EDS:
-        return (
+        return Fraction(
             5 * x * x
             + (11 * k - 3 * n - 3) * x
             + 4 * n * n

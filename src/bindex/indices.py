@@ -1,27 +1,28 @@
 """Five exact distance-based indices of connected graphs.
 
-wiener      W   = sum over unordered pairs of d(u, v)
-hyper_wiener WW = (1/2) sum over pairs of (d + d^2), always an integer
-harary      H   = sum over pairs of 1/d               (exact Fraction)
-cei             = sum over vertices of deg(u)/ecc(u)  (exact Fraction)
-eds             = sum over vertices of ecc(u) * D(u), D = transmission
+W   = sum over unordered pairs of d(u, v)
+WW  = (1/2) sum over pairs of (d + d^2), always an integer
+H   = sum over pairs of 1/d                   (exact Fraction)
+CEI = sum over vertices of deg(u)/ecc(u)      (exact Fraction)
+EDS = sum over vertices of ecc(u) * D(u), D = transmission
 
-All five read one cached per-vertex profile: eccentricity, transmission and
+all_indices computes every requested index in one uncached pass over the
+profile's rows, one row per false-twin class (vertices with equal neighbor
+masks): the class's members, their shared degree, their eccentricity and
 the number of vertices at each distance. The profile runs one BFS per
-false-twin class (vertices with equal neighbor masks), so the extremal
-graphs B_k(x, y), which have four such classes, cost four BFS runs at any
-size. All computation aggregates integer counts first and divides exactly
-at the end, so sweeps over thousands of graphs stay cheap and no floats
-appear anywhere.
+class, so the extremal graphs B_k(x, y), which have four such classes,
+cost four BFS runs and four rows at any size. The pass aggregates integer
+counts first and divides exactly at the end, so sweeps over thousands of
+graphs stay cheap and no floats appear anywhere.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from typing import Iterable
 
-from .graphs import Graph, distances_from
+from .graphs import UNREACHABLE, Graph, distances_from
 
 
 class IndexKind(str, Enum):
@@ -51,30 +52,30 @@ class IndexKind(str, Enum):
         return self in (IndexKind.H, IndexKind.CEI)
 
 
-@lru_cache(maxsize=256)
-def _profile(g: Graph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Per-vertex (eccentricity, transmission, count-per-distance) rows.
+def _profile(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
+    """One (members, degree, eccentricity, count-per-distance) row per class.
 
     Vertices with equal neighbor masks are false twins: swapping two of
-    them is an automorphism, so they share one row. Each class runs one
-    frontier BFS from its first vertex, and each layer's count is the
-    frontier's popcount.
+    them is an automorphism, so they share one row. members is the class's
+    vertex mask and degree the popcount of its shared neighbor mask. Each
+    class runs one frontier BFS from its lowest member, and each layer's
+    count is the frontier's popcount.
     """
     adj = g.adj
-    first: dict[int, int] = {}
+    classes: dict[int, int] = {}
     for u, mask in enumerate(adj):
-        first.setdefault(mask, u)
+        classes[mask] = classes.get(mask, 0) | 1 << u
     # Only one vertex per class needs its mask OR'd into the next layer: a
-    # twin is in the same layer as its class's first vertex, or that first
-    # vertex is the source and its neighbors are already seen at layer 1.
+    # twin is in the same layer as its class's lowest member, or that member
+    # is the source and its neighbors are already seen at layer 1.
     reps = 0
-    for u in first.values():
-        reps |= 1 << u
+    for members in classes.values():
+        reps |= members & -members
     full = (1 << g.n) - 1
-    by_mask = {}
-    for mask, u in first.items():
+    rows = []
+    for mask, members in classes.items():
         # inline, not graphs.layers: only one vertex per twin class is expanded
-        seen = frontier = 1 << u
+        seen = frontier = members & -members
         counts = [1]
         while True:
             reach = 0
@@ -90,86 +91,83 @@ def _profile(g: Graph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
             counts.append(frontier.bit_count())
         if seen != full:
             raise ValueError("index undefined: graph is disconnected")
-        trans = sum(d * c for d, c in enumerate(counts))
-        by_mask[mask] = (len(counts) - 1, trans, tuple(counts))
-    return tuple(by_mask[mask] for mask in adj)
+        rows.append((members, mask.bit_count(), len(counts) - 1, tuple(counts)))
+    return rows
 
 
-def wiener(g: Graph) -> int:
-    return sum(trans for _, trans, _ in _profile(g)) // 2
+def all_indices(
+    g: Graph, kinds: Iterable[IndexKind] = tuple(IndexKind)
+) -> dict[IndexKind, int | Fraction]:
+    """The requested indices of g, in the order asked, from one profile pass.
 
-
-def hyper_wiener(g: Graph) -> int:
-    s1 = 0
-    s2 = 0
-    for _, trans, counts in _profile(g):
-        s1 += trans
-        s2 += sum(d * d * c for d, c in enumerate(counts))
-    # (s1 + s2) counts ordered pairs of d + d^2, each pair twice and even
-    return (s1 + s2) // 4
-
-
-def harary(g: Graph) -> Fraction:
-    total: dict[int, int] = {}
-    for _, _, counts in _profile(g):
-        for d, c in enumerate(counts):
-            if d and c:
-                total[d] = total.get(d, 0) + c
-    return sum((Fraction(c, 2 * d) for d, c in total.items()), Fraction(0))
-
-
-def cei(g: Graph) -> Fraction:
-    """Connective eccentricity: degree over eccentricity, summed.
-
-    Undefined on K_1 (eccentricity zero).
+    W, WW and EDS are ints, H and CEI Fractions. A disconnected graph
+    raises ValueError; so does K_1, but only when CEI is requested
+    (its eccentricity is zero, so no degree/eccentricity ratio exists).
     """
-    by_ecc: dict[int, int] = {}
-    for u, (ecc, _, _) in enumerate(_profile(g)):
-        if ecc == 0:
-            raise ValueError("cei undefined: eccentricity zero (single vertex)")
-        by_ecc[ecc] = by_ecc.get(ecc, 0) + g.degree(u)
-    return sum((Fraction(deg, e) for e, deg in by_ecc.items()), Fraction(0))
-
-
-def eds(g: Graph) -> int:
-    return sum(ecc * trans for ecc, trans, _ in _profile(g))
+    at_distance = [0] * g.n  # ordered pairs of vertices at each distance
+    degree_at_ecc = [0] * g.n  # summed degree of the vertices of each eccentricity
+    eds = 0
+    for members, degree, ecc, counts in _profile(g):
+        size = members.bit_count()
+        trans = 0
+        for d, c in enumerate(counts):
+            trans += d * c
+            at_distance[d] += size * c
+        degree_at_ecc[ecc] += size * degree
+        eds += size * ecc * trans
+    values: dict[IndexKind, int | Fraction] = {}
+    for kind in kinds:
+        if kind is IndexKind.W:
+            values[kind] = sum(d * c for d, c in enumerate(at_distance)) // 2
+        elif kind is IndexKind.WW:
+            # each unordered pair appears twice, and d + d^2 is even
+            values[kind] = sum((d + d * d) * c for d, c in enumerate(at_distance)) // 4
+        elif kind is IndexKind.H:
+            values[kind] = sum(
+                (Fraction(c, 2 * d) for d, c in enumerate(at_distance) if d and c),
+                Fraction(0),
+            )
+        elif kind is IndexKind.CEI:
+            if g.n == 1:
+                raise ValueError("cei undefined: eccentricity zero (single vertex)")
+            values[kind] = sum(
+                (Fraction(deg, e) for e, deg in enumerate(degree_at_ecc) if deg),
+                Fraction(0),
+            )
+        else:
+            values[kind] = eds
+    return values
 
 
 def compute(kind: IndexKind, g: Graph) -> int | Fraction:
-    return _DISPATCH[kind](g)
+    return all_indices(g, (kind,))[kind]
 
 
-def all_indices(g: Graph) -> dict[IndexKind, int | Fraction]:
-    return {kind: fn(g) for kind, fn in _DISPATCH.items()}
-
-
-_DISPATCH = {
-    IndexKind.W: wiener,
-    IndexKind.WW: hyper_wiener,
-    IndexKind.H: harary,
-    IndexKind.CEI: cei,
-    IndexKind.EDS: eds,
-}
+def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
+    """A plain BFS distance row from every vertex, for the two forms below."""
+    rows = [distances_from(g, u) for u in range(g.n)]
+    if any(UNREACHABLE in row for row in rows):
+        raise ValueError("index undefined: graph is disconnected")
+    return rows
 
 
 def eds_by_pairs(g: Graph) -> int:
     """EDS through its pair form: sum of (ecc(u) + ecc(v)) * d(u, v).
 
-    Slower than eds(); kept as an identity cross-check.
+    Slower than all_indices; kept as an identity cross-check that shares
+    no code with the profile.
     """
-    prof = _profile(g)
-    total = 0
-    for u in range(g.n):
-        dist = distances_from(g, u)
-        for v in range(u + 1, g.n):
-            total += (prof[u][0] + prof[v][0]) * dist[v]
-    return total
+    rows = _distance_rows(g)
+    ecc = [max(row) for row in rows]
+    return sum(
+        (ecc[u] + ecc[v]) * rows[u][v] for u in range(g.n) for v in range(u + 1, g.n)
+    )
 
 
 def cei_by_edges(g: Graph) -> Fraction:
     """CEI through its edge form: sum over edges of 1/ecc(u) + 1/ecc(v)."""
-    prof = _profile(g)
+    ecc = [max(row) for row in _distance_rows(g)]
     total = Fraction(0)
     for u, v in g.edges():
-        total += Fraction(1, prof[u][0]) + Fraction(1, prof[v][0])
+        total += Fraction(1, ecc[u]) + Fraction(1, ecc[v])
     return total

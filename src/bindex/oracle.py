@@ -27,7 +27,6 @@ one process; the largest sweep (n = 10) takes seconds.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -157,14 +156,13 @@ class VerificationReport:
     predicted_value: Fraction
     predicted_certificates: tuple[str, ...]
     verdict: str  # match | value-mismatch | family-mismatch
-    elapsed_ms: float | None = None
 
     @property
     def matched(self) -> bool:
         return self.verdict == "match"
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "index": self.index.value,
             "n": self.n,
             "k": self.k,
@@ -174,12 +172,10 @@ class VerificationReport:
             "predicted_certificates": list(self.predicted_certificates),
             "verdict": self.verdict,
         }
-        if self.elapsed_ms is not None:
-            out["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
+        """Inverse of to_dict; other keys (the elapsed_ms of older rows) are ignored."""
         return cls(
             IndexKind(d["index"]),
             d["n"],
@@ -189,7 +185,6 @@ class VerificationReport:
             Fraction(d["predicted_value"]),
             tuple(d["predicted_certificates"]),
             d["verdict"],
-            d.get("elapsed_ms"),
         )
 
 
@@ -217,7 +212,6 @@ def verification_sweep(
     kinds: Iterable[IndexKind] | None = None,
     ks: Iterable[int] | None = None,
     cap: int = DEFAULT_CAP,
-    timing: bool = False,
     skip: Iterable[tuple[str, int, int]] = (),
 ) -> Iterator[VerificationReport]:
     """Verify every requested row, enumerating each n only once.
@@ -228,8 +222,7 @@ def verification_sweep(
     requested n (Infeasible). A k that fits only some n keeps just their
     rows. Reports stream out ordered by n, then k, then index. skip holds
     (index value, n, k) keys of rows already done (resume support); an n
-    whose rows are all skipped is never enumerated. elapsed_ms (only with
-    timing=True) covers the shared (n, k) candidate scan.
+    whose rows are all skipped is never enumerated.
     """
     ns = sorted(set(ns))  # ns and ks may be iterators: read each once
     ks = None if ks is None else set(ks)
@@ -245,7 +238,7 @@ def verification_sweep(
                 f"n={', '.join(map(str, ns))}: each n has rows 1 <= k <= n-4 "
                 "and the tree row k = n-1"
             )
-    return _sweep(plan, list(kinds or IndexKind), cap, timing, set(skip))
+    return _sweep(plan, list(kinds or IndexKind), cap, set(skip))
 
 
 def verify_bound(
@@ -260,7 +253,6 @@ def _sweep(
     plan: list[tuple[int, list[int]]],
     kinds: list[IndexKind],
     cap: int,
-    timing: bool,
     done: set[tuple[str, int, int]],
 ) -> Iterator[VerificationReport]:
     """The rows of verification_sweep, once its plan has been checked."""
@@ -282,9 +274,7 @@ def _sweep(
                 raise Infeasible(
                     f"enumeration produced no graph with n={n}, k={k} cut edges"
                 )
-            start = time.perf_counter()
             best = _best_multi(candidates, todo[k])
-            elapsed = (time.perf_counter() - start) * 1000.0
             for kind in todo[k]:
                 bound = optimize(kind, n, k)
                 value, graphs = best[kind]
@@ -297,7 +287,6 @@ def _sweep(
                     bound.value,
                     _certs((b_graph(spec) for spec in bound.family), cap),
                     "",
-                    elapsed if timing else None,
                 )
                 yield replace(report, verdict=_verdict(report))
 

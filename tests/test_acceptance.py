@@ -15,7 +15,7 @@ import pytest
 from bindex.constructors import BkSpec, DecoratedCore, b_graph, realize
 from bindex.extremal import admissible_x, closed_form, reconcile
 from bindex.graphs import bridges, certificate, graph6_decode
-from bindex.indices import IndexKind, all_indices, cei, compute
+from bindex.indices import IndexKind, all_indices, compute
 from bindex.oracle import (
     complete_bipartite_blocks,
     enumerate_connected_bipartite,
@@ -74,7 +74,7 @@ def test_criterion_2_spot_values():
     assert vals[H] == F(22, 3)
     assert vals[CEI] == F(9, 2)
     assert vals[EDS] == 79
-    small = cei(b_graph(BkSpec(6, 1, 2)))
+    small = compute(CEI, b_graph(BkSpec(6, 1, 2)))
     assert small == F(19, 3)
     assert small == closed_form(CEI, 6, 1, 2)
     print("PASS criterion 2: frozen spot values reproduced exactly")

@@ -16,6 +16,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from click.testing import CliRunner
 from bindex import cli
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.graphs import graph6_encode, new_graph
+from bindex.indices import IndexKind
+from bindex.transforms import DOWN
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -325,6 +328,33 @@ def test_probe_shifts():
     assert all(r["ok"] == "yes" for r in rows.values())
 
 
+@pytest.mark.parametrize("broken", ["exact", "sign"])
+def test_probe_reports_a_broken_contract(monkeypatch, broken):
+    # the realized graphs cannot break a true contract, so break the prediction:
+    # one exact delta off by one, or one index left to a sign that points wrong
+    real = cli.shift_pendants_within_part
+
+    def wrong(core, donor, receiver):
+        pred = real(core, donor, receiver)
+        exact = dict(pred.exact)
+        if broken == "exact":
+            exact[IndexKind.WW] += 1
+            return replace(pred, exact=exact)
+        del exact[IndexKind.H]  # H rises here, so DOWN must fail
+        return replace(pred, exact=exact, signs={**pred.signs, IndexKind.H: DOWN})
+
+    monkeypatch.setattr(cli, "shift_pendants_within_part", wrong)
+    args = ["probe", "shift-within", "--s", "3", "--t", "3", "--a", "2", "--b", "3",
+            "--others", "2:1", "--format", "csv"]
+    res = CliRunner().invoke(cli.cli, args)
+    assert res.exit_code == 0, res.output
+    rows = {r["index"]: r for r in parse_csv(res.output)}
+    bad = "ww" if broken == "exact" else "h"
+    assert {k for k, r in rows.items() if r["ok"] == "NO"} == {bad}
+    assert rows[bad]["expected"] == ("-41" if broken == "exact" else "<0")
+    assert CliRunner().invoke(cli.cli, args + ["--strict"]).exit_code == 3
+
+
 def test_output_is_deterministic():
     args = ("bound", "--n", "12", "--k", "3", "--reconcile", "--format", "csv")
     assert run(*args).stdout == run(*args).stdout
@@ -337,6 +367,21 @@ def test_indices_k1_error_empties_every_index():
     assert row["n"] == "1" and row["m"] == "0"
     assert "cei undefined" in row["error"]
     assert all(row[k] == "" for k in ("w", "ww", "h", "cei", "eds"))
+
+
+@pytest.mark.parametrize(
+    "index, value", [("w", "0"), ("ww", "0"), ("h", "0"), ("eds", "0"), ("cei", None)]
+)
+def test_indices_k1_single_index(index, value):
+    # only CEI is undefined on K_1, so only --index cei gives the error
+    res = run("indices", "--index", index, "--format", "csv", stdin="@\n")
+    assert res.returncode == 0
+    (row,) = parse_csv(res.stdout)
+    assert list(row) == ["graph6", "n", "m", index, "error"]
+    if value is None:
+        assert row[index] == "" and "cei undefined" in row["error"]
+    else:
+        assert res.stdout == f"graph6,n,m,{index},error\n@,1,0,{value},\n"
 
 
 def test_console_script_names_the_module_entry_point():

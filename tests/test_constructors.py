@@ -17,7 +17,7 @@ from bindex.constructors import (
     star,
 )
 from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
-from bindex.indices import wiener
+from bindex.indices import IndexKind, compute
 
 
 def test_star_shape():
@@ -111,7 +111,7 @@ def test_b_graph_small_example():
 
 
 def test_b_graph_wiener_example():
-    assert wiener(b_graph(BkSpec(10, 2, 3))) == 77
+    assert compute(IndexKind.W, b_graph(BkSpec(10, 2, 3))) == 77
 
 
 def test_b_graph_matches_decorated_core():

@@ -25,7 +25,7 @@ from bindex.graphs import (
     new_graph,
     relabel,
 )
-from bindex.indices import wiener
+from bindex.indices import IndexKind, compute
 from bindex.oracle import complete_bipartite_blocks
 from bindex.transforms import cut_edge_context
 
@@ -118,7 +118,7 @@ def test_connectivity_and_distances(g):
         lengths = nx.single_source_shortest_path_length(h, u)
         assert distances_from(g, u) == tuple(lengths.get(v, UNREACHABLE) for v in range(g.n))
     if is_connected(g):
-        assert wiener(g) == nx.wiener_index(h)
+        assert compute(IndexKind.W, g) == nx.wiener_index(h)
 
 
 @with_cases

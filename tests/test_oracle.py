@@ -23,7 +23,7 @@ from bindex.constructors import (
 )
 from bindex.extremal import admissible_x
 from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
-from bindex.indices import IndexKind, wiener
+from bindex.indices import IndexKind, compute
 from bindex.oracle import (
     VerificationReport,
     complete_bipartite_blocks,
@@ -75,7 +75,7 @@ def test_verify_bound_known_optimum():
     assert report.oracle_value == 48
     assert report.oracle_certificates == (certificate(b_graph(BkSpec(8, 2, 2))).decode(),)
     # the other family member is strictly worse here
-    assert wiener(b_graph(BkSpec(8, 2, 3))) == 49
+    assert compute(W, b_graph(BkSpec(8, 2, 3))) == 49
 
 
 def test_verify_bound_infeasible_k():
@@ -127,10 +127,9 @@ def test_verify_bound_rows_match():
 
 
 def test_verification_sweep_streams_and_skips():
-    reports = list(verification_sweep([5], timing=True))
+    reports = list(verification_sweep([5]))
     assert len(reports) == len(bound_rows(5)) * len(IndexKind)
     assert all(r.matched for r in reports)
-    assert all(r.elapsed_ms is not None for r in reports)
     order = list(IndexKind)
     keys = [(r.index.value, r.n, r.k) for r in reports]
     ranks = [(r.n, r.k, order.index(r.index)) for r in reports]
@@ -169,6 +168,15 @@ def test_report_round_trip(tmp_path):
         fh.write(json.dumps(report.to_dict()) + "\n")
     loaded = load_reports(path)
     assert loaded == {("h", 6, 1): report}
+
+
+def test_load_reports_accepts_a_row_with_elapsed_ms(tmp_path):
+    # rows written before the timing field was dropped still resume
+    report = verify_bound(IndexKind.H, 6, 1)
+    assert "elapsed_ms" not in report.to_dict()
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps({**report.to_dict(), "elapsed_ms": 0.412}) + "\n")
+    assert load_reports(path) == {("h", 6, 1): report}
 
 
 @pytest.mark.parametrize(

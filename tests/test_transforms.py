@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bindex.constructors import DecoratedCore, realize, star
 from bindex.graphs import certificate, new_graph
-from bindex.indices import IndexKind, all_indices
+from bindex.indices import IndexKind, all_indices, compute
 from bindex.transforms import (
     DOWN,
     EDGE_ADDITION_SIGNS,
@@ -70,11 +70,9 @@ def test_contract_bridge_turns_p4_into_star():
 
 def test_contract_bridge_on_two_triangles():
     g = two_triangles()
-    from bindex.indices import wiener
-
-    assert wiener(g) == 27
+    assert compute(IndexKind.W, g) == 27
     after = contract_bridge(cut_edge_context(g, 2, 3))
-    assert wiener(after) == 23
+    assert compute(IndexKind.W, after) == 23
     assert after.n == g.n
     assert after.edge_count == g.edge_count
 
@@ -96,6 +94,46 @@ def test_contract_bridge_directions_on_seeded_contexts():
         assert after.n == ctx.graph.n
         assert after.edge_count == ctx.graph.edge_count
         assert signs_hold(index_deltas(ctx.graph, after), EDGE_ADDITION_SIGNS)
+
+
+@st.composite
+def connected_bipartite(draw):
+    """(n, edges): a random spanning tree on 2..8 vertices plus any set of
+    edges between its two color classes, so any connected bipartite graph."""
+    n = draw(st.integers(2, 8))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    color = [0]
+    for p in parents:
+        color.append(1 - color[p])
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n) if color[u] != color[v]]
+    return n, sorted(set(zip(parents, range(1, n))) | draw(st.sets(st.sampled_from(cross))))
+
+
+@st.composite
+def bridge_contexts(draw):
+    """Two connected bipartite sides joined by any bridge, labels shuffled."""
+    (a, left), (b, right) = draw(connected_bipartite()), draw(connected_bipartite())
+    u = draw(st.integers(0, a - 1))
+    w = a + draw(st.integers(0, b - 1))
+    edges = left + [(x + a, y + a) for x, y in right] + [(u, w)]
+    label = draw(st.permutations(range(a + b)))
+    g = new_graph(a + b, [(label[x], label[y]) for x, y in edges])
+    return cut_edge_context(g, label[u], label[w])
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(bridge_contexts())
+@example(cut_edge_context(path(4), 1, 2))
+def test_contract_bridge_contract_on_any_bridge(ctx):
+    after = contract_bridge(ctx)
+    assert after.n == ctx.graph.n
+    assert after.edge_count == ctx.graph.edge_count
+    deltas = index_deltas(ctx.graph, after)
+    assert deltas[IndexKind.W] < 0
+    assert deltas[IndexKind.WW] < 0
+    assert deltas[IndexKind.EDS] < 0
+    assert deltas[IndexKind.H] > 0
+    assert deltas[IndexKind.CEI] > 0
 
 
 def test_within_part_shift_minimal_example():
