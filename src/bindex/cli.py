@@ -19,10 +19,12 @@ from contextlib import nullcontext
 import click
 
 from .constructors import BkSpec, DecoratedCore, Infeasible, b_graph, complete_bipartite, realize, star
-from .extremal import admissible_x, closed_form, optimize, reconcile
+from .extremal import closed_form, optimize, reconcile
 from .graphs import bridges, certificate, graph6_decode, graph6_encode
-from .indices import IndexKind, all_indices, compute
+from .indices import IndexKind, all_indices
+from .indices import compute  # noqa: F401  benchmarks/spans.py wraps bindex.cli.compute
 from .oracle import (
+    DEFAULT_CAP,
     enumerate_connected_bipartite,
     filter_by_cut_edges,
     load_reports,
@@ -32,7 +34,6 @@ from .transforms import (
     EDGE_ADDITION_SIGNS,
     contract_bridge,
     cut_edge_context,
-    index_deltas,
     monotonicity_probe,
     shift_pendants_across_parts,
     shift_pendants_within_part,
@@ -192,8 +193,6 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
     kinds = _kinds(index_sel)
     rows = []
     if x is not None:
-        if x not in admissible_x(n, k):
-            raise Infeasible(f"x={x} not admissible for n={n}, k={k}")
         columns = ["index", "n", "k", "x", "value"]
         for kind in kinds:
             rows.append(
@@ -237,7 +236,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
 @click.option("--n", "ns", type=int, multiple=True, required=True, help="repeatable")
 @click.option("--k", "ks", type=int, multiple=True, help="restrict to these k (repeatable); exit 2 if a k is a bound row for no --n")
 @_index_option
-@click.option("--cap", type=int, default=9, show_default=True, help="enumeration budget guard")
+@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True, help="enumeration budget guard")
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="write JSONL here instead of stdout")
 @click.option("--resume", is_flag=True, help="skip rows already present in --out")
 @click.option("--strict", is_flag=True, help="exit 3 when any row mismatches")
@@ -280,26 +279,25 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict) -> None:
 @cli.command("enumerate")
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, default=None, help="keep only graphs with exactly k cut edges")
-@click.option("--cap", type=int, default=9, show_default=True)
+@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
 @_fmt_option(default="graph6", extra=("graph6",))
 def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
     """List connected bipartite classes as sorted canonical graph6 lines."""
     graphs = list(enumerate_connected_bipartite(n, cap))
     if k is not None:
         graphs = filter_by_cut_edges(graphs, k)
-    certs = sorted(certificate(g, limit=cap).decode("ascii") for g in graphs)
+    pairs = sorted(
+        ((certificate(g, limit=cap).decode("ascii"), g) for g in graphs), key=lambda p: p[0]
+    )
     if fmt == "graph6":
-        for cert in certs:
+        for cert, _ in pairs:
             click.echo(cert)
         return
-    columns = ["graph6", "n", "m", "cut_edges"]
-    rows = []
-    for cert in certs:
-        g = graph6_decode(cert)
-        rows.append(
-            {"graph6": cert, "n": g.n, "m": g.edge_count, "cut_edges": len(bridges(g))}
-        )
-    _emit(rows, columns, fmt)
+    rows = [
+        {"graph6": cert, "n": g.n, "m": g.edge_count, "cut_edges": len(bridges(g))}
+        for cert, g in pairs
+    ]
+    _emit(rows, ["graph6", "n", "m", "cut_edges"], fmt)
 
 
 def _parse_counts(text: str) -> dict[int, int]:
@@ -316,11 +314,11 @@ def _parse_counts(text: str) -> dict[int, int]:
 
 
 def _delta_rows(before, after, prediction=None) -> tuple[list[dict], bool]:
-    deltas = index_deltas(before, after)
+    old, new = all_indices(before), all_indices(after)
     rows = []
     all_ok = True
     for kind in IndexKind:
-        delta = deltas[kind]
+        delta = new[kind] - old[kind]
         if prediction is not None and kind in prediction.exact:
             want = prediction.exact[kind]
             expected = str(want)
@@ -334,8 +332,8 @@ def _delta_rows(before, after, prediction=None) -> tuple[list[dict], bool]:
         rows.append(
             {
                 "index": kind.value,
-                "before": str(compute(kind, before)),
-                "after": str(compute(kind, after)),
+                "before": str(old[kind]),
+                "after": str(new[kind]),
                 "delta": str(delta),
                 "expected": expected,
                 "ok": "yes" if ok else "NO",

@@ -56,7 +56,7 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
     if k == n - 1:
         raise Infeasible("the tree row k = n-1 has no x freedom")
     if x != int(x) or int(x) not in admissible_x(n, k):
-        raise Infeasible(f"x={x} not admissible: need integer 2 <= x <= n-k-x")
+        raise Infeasible(f"x={x} not admissible for n={n}, k={k}: need integer 2 <= x <= n-k-x")
     x = int(x)
     if kind is IndexKind.W:
         return Fraction(x * x + (2 * k - n) * x + n * n - n - 2 * k)

@@ -4,7 +4,8 @@ Vertices are dense integers 0..n-1. Adjacency is one Python int bitmask per
 vertex, so there is no hard size cap; masks stay fast at the sizes this
 package works with (n up to a few hundred). Everything here is deterministic
 and side-effect free: distance rows, cut edges, bipartitions, canonical
-certificates and the graph6 interchange format.
+certificates (the minimized adjacency string itself, written as graph6) and
+the graph6 interchange format.
 
 Breadth-first search is one primitive, layers(), which yields the BFS
 layers from one root as vertex masks. Distances, connectivity, bipartitions
@@ -201,28 +202,28 @@ def relabel(g: Graph, mapping) -> Graph:
     return new_graph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges()))
 
 
-def _canonical_order(g: Graph) -> list[int]:
-    """Vertex placement minimizing the column-major adjacency bit string.
+def _canonical_columns(g: Graph) -> list[int]:
+    """Branch and bound for the minimal column-major adjacency bit string.
 
-    Branch and bound: at depth j every candidate contributes a j-bit column;
-    only minimum-column candidates can extend a minimal string, because the
+    Returns its columns: column j is the j-th placed vertex's adjacency to
+    the j placed before it, the first in the top bit, which is graph6's bit
+    order. At depth j every candidate contributes a j-bit column; only
+    minimum-column candidates can extend a minimal string, because the
     string is compared column block by column block. Candidates that are
     twins (same neighborhood apart from each other) lead to automorphic
     placements, so one representative per twin class suffices.
     """
     n = g.n
     adj = g.adj
-    best: list[int] | None = None
     best_cols: list[int] | None = None
 
     def extend(order: list[int], used: int, cols: list[int]) -> None:
-        nonlocal best, best_cols
+        nonlocal best_cols
         j = len(order)
         if best_cols is not None and cols > best_cols[: len(cols)]:
             return
         if j == n:
             if best_cols is None or cols < best_cols:
-                best = order.copy()
                 best_cols = cols.copy()
             return
         groups: dict[int, list[int]] = {}
@@ -250,49 +251,43 @@ def _canonical_order(g: Graph) -> list[int]:
             cols.pop()
 
     extend([], 0, [])
-    assert best is not None
-    return best
+    assert best_cols is not None
+    return best_cols
 
 
 def certificate(g: Graph, limit: int = 10) -> bytes:
-    """Canonical form: graph6 bytes of the lex-minimal adjacency string.
+    """Canonical form: the minimal adjacency string the search found, as graph6.
 
     Two graphs are isomorphic iff their certificates are equal. The search
     is exponential in the worst case, hence the small default size guard.
     """
     if g.n > limit:
         raise ValueError(f"certificate limited to n<={limit}, got n={g.n}")
-    order = _canonical_order(g)
-    mapping = [0] * g.n
-    for pos, v in enumerate(order):
-        mapping[v] = pos
-    return graph6_encode(relabel(g, mapping)).encode("ascii")
+    cols = _canonical_columns(g)
+    bits = "".join(format(c, f"0{j}b") for j, c in enumerate(cols[1:], 1))
+    return _graph6(g.n, bits).encode("ascii")
 
 
-def graph6_encode(g: Graph) -> str:
-    """Encode in graph6: size bytes, then the upper triangle column-major."""
-    n = g.n
+def _graph6(n: int, bits: str) -> str:
+    """graph6 text: size bytes, then bits packed six to a byte, zero-padded.
+
+    bits is the upper triangle column by column as a '0'/'1' string.
+    """
     if n > _G6_LONG_MAX:
         raise ValueError(f"graph6 encoder supports n<={_G6_LONG_MAX}, got {n}")
     if n <= _G6_SMALL_MAX:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    chunk = 0
-    filled = 0
-    body = []
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            chunk = chunk << 1 | (col >> u & 1)
-            filled += 1
-            if filled == 6:
-                body.append(chr(chunk + 63))
-                chunk = 0
-                filled = 0
-    if filled:
-        body.append(chr((chunk << (6 - filled)) + 63))
-    return head + "".join(body)
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
+
+
+def graph6_encode(g: Graph) -> str:
+    """Encode in graph6: size bytes, then the upper triangle column-major."""
+    # format() writes row v-1 first; graph6 wants row 0 first
+    bits = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    return _graph6(g.n, bits)
 
 
 def graph6_decode(text: str) -> Graph:
@@ -305,37 +300,31 @@ def graph6_decode(text: str) -> Graph:
             raise ValueError(f"invalid graph6 byte {ord(ch):#04x} at offset {off}")
     if s.startswith("~~"):
         raise ValueError("invalid graph6 byte 0x7e at offset 1: 8-byte sizes unsupported")
-    if s[0] == "~":
-        if len(s) < 4:
-            raise ValueError(f"truncated graph6 size block at offset {len(s)}")
-        n = 0
-        for off in range(1, 4):
-            n = n << 6 | (ord(s[off]) - 63)
-        body = s[4:]
-        start = 4
-    else:
-        n = ord(s[0]) - 63
-        body = s[1:]
-        start = 1
+    start = 4 if s[0] == "~" else 1  # offset of the first body byte
+    if len(s) < start:
+        raise ValueError(f"truncated graph6 size block at offset {len(s)}")
+    n = 0
+    for ch in s[1:4] if start == 4 else s[0]:
+        n = n << 6 | (ord(ch) - 63)
     if n < 1:
         raise ValueError("invalid graph6 byte 0x3f at offset 0: empty graph")
-    need = (n * (n - 1) // 2 + 5) // 6
+    body = s[start:]
+    size = n * (n - 1) // 2
+    need = (size + 5) // 6
     if len(body) != need:
         off = start + min(len(body), need)
         raise ValueError(
             f"graph6 body length {len(body)} != {need} for n={n} (offset {off})"
         )
-    bits = []
-    for ch in body:
-        bits.extend((ord(ch) - 63) >> s6 & 1 for s6 in range(5, -1, -1))
-    edges = []
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[size:]:
+        raise ValueError(f"nonzero graph6 padding at offset {start + need - 1}")
+    adj = [0] * n
     i = 0
     for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                edges.append((u, v))
-            i += 1
-    tail = bits[i:]
-    if any(tail):
-        raise ValueError(f"nonzero graph6 padding at offset {start + need - 1}")
-    return new_graph(n, edges)
+        col = int(bits[i : i + v][::-1], 2)  # bit u: edge (u, v)
+        i += v
+        adj[v] |= col
+        for u in _bits(col):
+            adj[u] |= 1 << v
+    return Graph(n, tuple(adj))

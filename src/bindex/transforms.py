@@ -247,9 +247,11 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> P
         raise ValueError("graph is complete: no edge can be added")
     if samples is not None and samples < len(absent):
         absent = sorted(random.Random(seed).sample(absent, samples))
+    base = all_indices(g)
     probes = []
     for u, v in absent:
-        deltas = index_deltas(g, add_edge(g, u, v))
+        after = all_indices(add_edge(g, u, v))
+        deltas = {kind: after[kind] - base[kind] for kind in IndexKind}
         ok = all(sign_holds(deltas[k], s) for k, s in EDGE_ADDITION_SIGNS.items())
         probes.append(EdgeProbe(u, v, deltas, ok))
     return ProbeReport(graph6_encode(g), tuple(probes), all(p.consistent for p in probes))

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from bindex import cli
+from bindex import cli, indices
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.graphs import graph6_encode, new_graph
 from bindex.indices import IndexKind
@@ -127,7 +127,13 @@ def test_bound_evaluate_at_x():
     )
     assert res.returncode == 0
     assert parse_csv(res.stdout)[0]["value"] == "49"
-    assert run("bound", "--n", "8", "--k", "2", "--x", "5").returncode == 2
+    # closed_form owns the x rule: its message names n and k, stdout stays empty
+    res = run("bound", "--n", "8", "--k", "2", "--x", "5")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: x=5 not admissible for n=8, k=2: need integer 2 <= x <= n-k-x\n"
+    res = run("bound", "--n", "8", "--k", "7", "--x", "1")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: the tree row k = n-1 has no x freedom\n"
 
 
 def test_bound_infeasible_k():
@@ -302,6 +308,18 @@ def test_probe_contract():
     assert all(r["ok"] == "yes" for r in rows)
     deltas = {r["index"]: r["delta"] for r in rows}
     assert deltas["w"] == "-1" and deltas["eds"] == "-19"
+
+
+def test_probe_contract_computes_each_graph_once(monkeypatch):
+    # before, after and delta come from one all_indices call per graph
+    real = indices._profile
+    calls = []
+    monkeypatch.setattr(indices, "_profile", lambda g: calls.append(g) or real(g))
+    g6 = graph6_encode(new_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    args = ["probe", "contract", "--g6", g6, "--u", "1", "--w", "2", "--format", "csv"]
+    res = CliRunner().invoke(cli.cli, args)
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 2
 
 
 def test_probe_contract_rejects_non_bridge():

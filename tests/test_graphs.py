@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -157,6 +158,16 @@ def test_graph6_decode_rejects_garbage():
         graph6_decode("E" + chr(30))  # byte below the printable range
     with pytest.raises(ValueError):
         graph6_decode("E")  # truncated body
+    # every other check, each message with the offset it blames
+    for text, msg in [
+        ("A@", "nonzero graph6 padding at offset 1"),  # n = 2, bit 0 clear, pad bit set
+        ("~~??????", "invalid graph6 byte 0x7e at offset 1: 8-byte sizes unsupported"),
+        ("~??", "truncated graph6 size block at offset 3"),
+        ("?", "invalid graph6 byte 0x3f at offset 0: empty graph"),
+        ("A??", "graph6 body length 2 != 1 for n=2 (offset 2)"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            graph6_decode(text)
 
 
 def test_known_graph6_form():

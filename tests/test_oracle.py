@@ -6,6 +6,7 @@ sweep's optimum, certificates and up-front request checks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from itertools import combinations
 
@@ -49,6 +50,15 @@ def test_enumeration_class_counts():
         assert len(got) == want, n
         certs = {certificate(g) for g in got}
         assert len(certs) == want  # no class listed twice
+
+
+def test_certificates_at_n8_are_byte_identical():
+    # sha256 of the 182 sorted n = 8 certificates, one per line, as first
+    # written by the relabel-and-encode certificate; n = 7 is pinned by
+    # tests/golden/enumerate_n7.g6
+    certs = sorted(certificate(g).decode("ascii") for g in enumerate_connected_bipartite(8))
+    digest = hashlib.sha256("\n".join(certs).encode("ascii")).hexdigest()
+    assert digest == "37b3e8eedf8fb535f2ace010586c6a6e069af713ffcd5169f5ef68aef83a93a8"
 
 
 def test_enumeration_emits_connected_bipartite_graphs():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bindex import indices
 from bindex.constructors import DecoratedCore, realize, star
 from bindex.graphs import certificate, new_graph
 from bindex.indices import IndexKind, all_indices, compute
@@ -310,6 +311,14 @@ def test_probe_star_and_cycle_are_consistent():
         assert report.consistent
         assert all(p.consistent for p in report.probes)
     assert len(monotonicity_probe(star(6)).probes) == 10  # all leaf pairs
+
+
+def test_probe_computes_the_base_graph_once(monkeypatch):
+    real = indices._profile
+    calls = []
+    monkeypatch.setattr(indices, "_profile", lambda g: calls.append(g) or real(g))
+    monotonicity_probe(star(6))
+    assert len(calls) == 11  # the star once, then each of its 10 one-edge supergraphs
 
 
 def test_probe_is_isomorphism_invariant():
