@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
+from typing import Iterable
 
 import click
 
@@ -71,14 +72,18 @@ _index_option = click.option(
 )
 
 
-def _emit(rows: list[dict], columns: list[str], fmt: str) -> None:
+def _emit(rows: Iterable[dict], columns: list[str], fmt: str) -> None:
+    """Print rows; csv writes and flushes each row as soon as rows yields it."""
     if fmt == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow(row)
+            sys.stdout.flush()
     elif fmt == "json":
-        click.echo(json.dumps(rows, indent=2))
+        click.echo(json.dumps(list(rows), indent=2))
     else:
+        rows = list(rows)  # the table sizes its columns from every row
         widths = {c: len(c) for c in columns}
         for row in rows:
             for c in columns:
@@ -112,35 +117,40 @@ def cmd_indices(source: str, index_sel: str, fmt: str) -> None:
 
     Unreadable or disconnected inputs, and graphs on which any index is
     undefined (K_1), keep their row, with the message in the error column
-    and every index column empty.
+    and every index column empty. Lines are read as bytes; the graph6
+    column echoes each in ASCII, escaping other bytes (\\xff). csv rows
+    are written as their lines arrive.
     """
     kinds = _kinds(index_sel)
     if source == "-":
-        text = sys.stdin.read()
+        source_fh = nullcontext(sys.stdin.buffer)
     else:
         try:
-            with open(source, "r", encoding="ascii") as fh:
-                text = fh.read()
+            source_fh = open(source, "rb")
         except OSError as e:
             raise click.UsageError(f"cannot read {source}: {e}")
     columns = ["graph6", "n", "m"] + [k.value for k in kinds] + ["error"]
-    rows = []
-    for line in text.splitlines():
-        s = line.strip()
-        if not s:
+    with source_fh as lines:
+        _emit(_index_rows(lines, kinds, columns), columns, fmt)
+
+
+def _index_rows(lines: Iterable[bytes], kinds: list[IndexKind], columns: list[str]):
+    """One row per nonblank line, read as bytes; a failure keeps its row."""
+    for line in lines:
+        line = line.strip()
+        if not line:
             continue
         row: dict = {c: "" for c in columns}
-        row["graph6"] = s
+        row["graph6"] = line.decode("ascii", "backslashreplace")
         try:
-            g = graph6_decode(s)
+            g = graph6_decode(line)
             row["n"] = g.n
             row["m"] = g.edge_count
             # all or nothing: assign only after every index succeeded
             row.update({kind.value: str(v) for kind, v in all_indices(g, kinds).items()})
         except ValueError as e:
             row["error"] = str(e)
-        rows.append(row)
-    _emit(rows, columns, fmt)
+        yield row
 
 
 @cli.command("construct")

@@ -290,9 +290,15 @@ def graph6_encode(g: Graph) -> str:
     return _graph6(g.n, bits)
 
 
-def graph6_decode(text: str) -> Graph:
-    """Decode one graph6 line; errors report the offending byte offset."""
-    s = text.strip()
+def graph6_decode(text: str | bytes) -> Graph:
+    """Decode one graph6 line; errors report the offending byte offset.
+
+    Bytes are read one character per byte, so an error names the raw byte;
+    only ASCII whitespace is stripped, and offsets count after it.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("latin-1")
+    s = text.strip(" \t\n\r\v\f")  # what bytes.strip() removes
     if not s:
         raise ValueError("empty graph6 string")
     for off, ch in enumerate(s):

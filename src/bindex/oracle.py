@@ -1,10 +1,14 @@
 """Ground truth by exhaustion, independent of every closed form.
 
-Connected bipartite graphs are enumerated one per isomorphism class by
-generating, for each part split (s, t), all multisets of nonempty column
-masks and keeping only the representative that is minimal under row
-permutations (plus transposition when s = t). Connectivity makes the
-bipartition unique, so no class can appear under two splits.
+Connected bipartite graphs are enumerated one per isomorphism class, for
+each part split (s, t), by a depth-first search over sorted tuples of
+nonempty column masks. A class's representative is the sorted tuple that
+no row permutation lowers (nor, when s = t, transposition). The search
+extends only prefixes that no row permutation lowers either; that prunes
+nothing it needs, because more columns can only lower a permutation's
+image, so a prefix beaten once stays beaten (Read's orderly generation).
+Connectivity makes the bipartition unique, so no class can appear under
+two splits.
 
 A second, fully labeled path rebuilds the same classes from raw edge
 subsets (scan the masks, keep connected bipartite ones, collapse orbits
@@ -21,7 +25,7 @@ once, groups the classes by cut edge count, finds each index's optimum and
 certifies it next to the predicted family. verify_bound returns one of its
 rows. One size guard, cap, bounds both enumeration and certificates, and
 the sweep checks every n and k before any work starts. Everything runs in
-one process; the largest sweep (n = 10) takes seconds.
+one process; the n = 10 sweep takes about a second.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
+from itertools import combinations_with_replacement  # noqa: F401  benchmarks/spans.py counts through it
+from operator import add
 from typing import Iterable, Iterator
 
 from .constructors import Infeasible, b_graph, feasible_cut_edge_counts
@@ -55,50 +61,59 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(f"n={n} above cap={cap}: raise cap explicitly for big sweeps")
 
 
-def _remap_tables(s: int) -> list[list[int]]:
-    """For every permutation of s rows, the induced map on s-bit masks."""
-    tables = []
-    for p in permutations(range(s)):
-        tbl = [0] * (1 << s)
-        for c in range(1, 1 << s):
-            low = c & -c
-            tbl[c] = tbl[c ^ low] | 1 << p[low.bit_length() - 1]
-        tables.append(tbl)
-    return tables
-
-
 def _classes_with_parts(s: int, t: int) -> Iterator[Graph]:
-    """Canonical representatives of bipartite graphs with part sizes (s, t).
+    """Canonical representatives of connected bipartite graphs with parts (s, t).
 
-    Columns are the Y-side neighborhoods, as s-bit masks, all nonempty;
-    combinations_with_replacement keeps them sorted, so a combo is the
-    class representative iff no row permutation (or transposition, when
-    s = t) produces a smaller sorted tuple.
+    A graph is its sorted columns c_1 <= ... <= c_t, the Y-side
+    neighborhoods as nonempty s-bit masks. It represents its class iff no
+    row permutation p gives sorted(p(cols)) < cols and, when s = t, none
+    gives a smaller tuple from the rows (the transposed graph) either.
+
+    The search is depth-first over nondecreasing columns and extends a
+    prefix P only if no p gives sorted(p(P)) < P (Read's orderly
+    generation). That is safe: appended columns, all >= c_j, can only lower
+    the order statistics of p's image, so if p sorts P lower it sorts every
+    extension lower too. The transpose test and connectivity run at leaves.
+
+    Nothing is sorted. For multisets of one size, sorted(A) < sorted(B) iff
+    A has more copies of the smallest value whose counts differ. So a
+    multiset packs into an integer with one count digit per value, smaller
+    values more significant, the smaller tuple giving the larger integer;
+    p's image is then a sum of per-mask weights. Each prefix carries that
+    sum for every p, and is kept iff none exceeds the identity's.
     """
-    tables = _remap_tables(s)
-    cols = range(1, 1 << s)
-    for combo in combinations_with_replacement(cols, t):
-        canonical = True
-        for tbl in tables[1:]:  # identity reproduces combo
-            if tuple(sorted(map(tbl.__getitem__, combo))) < combo:
-                canonical = False
-                break
-        if canonical and s == t:
-            rows = tuple(
-                sum(1 << j for j in range(t) if combo[j] >> i & 1) for i in range(s)
-            )
-            for tbl in tables:
-                if tuple(sorted(map(tbl.__getitem__, rows))) < combo:
-                    canonical = False
-                    break
-        if not canonical:
-            continue
-        edges = [
-            (i, s + j) for j in range(t) for i in range(s) if combo[j] >> i & 1
-        ]
-        g = new_graph(s + t, edges)
-        if is_connected(g):
-            yield g
+    top = 1 << s
+    digit = t.bit_length()  # 2**digit > t: a count never carries
+    weights = []
+    for p in permutations(range(s)):  # the identity first
+        image = [0] * top  # image[c]: p applied to the rows of mask c
+        for c in range(1, top):
+            low = c & -c
+            image[c] = image[c ^ low] | 1 << p[low.bit_length() - 1]
+        weights.append([1 << (top - 1 - m) * digit for m in image])
+    weight = list(zip(*weights))  # weight[c][i]: mask c under the i-th permutation
+
+    def grow(prefix, sums, lo):
+        for c in range(lo, top):
+            packed = list(map(add, sums, weight[c]))
+            if max(packed) > packed[0]:  # some permutation sorts lower
+                continue
+            cols = prefix + (c,)
+            if len(cols) < t:
+                yield from grow(cols, packed, c)
+                continue
+            rows = [sum(1 << j for j, col in enumerate(cols) if col >> i & 1) for i in range(s)]
+            if s == t:
+                flipped = weight[rows[0]]
+                for row in rows[1:]:
+                    flipped = map(add, flipped, weight[row])
+                if max(flipped) > packed[0]:
+                    continue
+            g = Graph(s + t, tuple(row << s for row in rows) + cols)
+            if is_connected(g):
+                yield g
+
+    yield from grow((), [0] * len(weight[0]), 1)
 
 
 def enumerate_connected_bipartite(n: int, cap: int = DEFAULT_CAP) -> Iterator[Graph]:
@@ -123,13 +138,17 @@ def filter_by_cut_edges(graphs: Iterable[Graph], k: int) -> list[Graph]:
 
 def _best_multi(
     candidates: Iterable[Graph], kinds: Iterable[IndexKind]
-) -> dict[IndexKind, tuple[Fraction, list[Graph]]]:
+) -> dict[IndexKind, tuple[int | Fraction, list[Graph]]]:
+    """Each kind's optimum over candidates, with every graph attaining it.
+
+    Only the requested kinds are computed; ints and Fractions compare
+    exactly, so values are kept as all_indices returns them.
+    """
     kinds = list(kinds)
-    best: dict[IndexKind, tuple[Fraction, list[Graph]]] = {}
+    best: dict[IndexKind, tuple[int | Fraction, list[Graph]]] = {}
     for g in candidates:
-        values = all_indices(g)
-        for kind in kinds:
-            v = Fraction(values[kind])
+        # kinds by keyword: benchmarks/spans.py takes the last positional argument for the graph
+        for kind, v in all_indices(g, kinds=kinds).items():
             cur = best.get(kind)
             if cur is None:
                 best[kind] = (v, [g])
@@ -282,7 +301,7 @@ def _sweep(
                     kind,
                     n,
                     k,
-                    value,
+                    Fraction(value),
                     _certs(graphs, cap),
                     bound.value,
                     _certs((b_graph(spec) for spec in bound.family), cap),

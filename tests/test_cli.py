@@ -13,9 +13,11 @@ import io
 import json
 import os
 import re
+import select
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -74,6 +76,64 @@ def test_indices_keeps_bad_rows():
     assert len(rows) == 2
     assert rows[0]["error"] == "" and rows[0]["w"] == "20"
     assert rows[1]["error"] != "" and rows[1]["w"] == ""
+
+
+def test_indices_reads_bytes_the_same_from_file_and_stdin(tmp_path):
+    # 0xff, a UTF-8 e-acute (0xc3 0xa9) and 0xa0 are bytes, not text: each row
+    # names its own first bad byte and echoes the line in ASCII
+    data = b"DhC\n\xff\nF\xc3\xa9\n\xa0\r\n!!bad!!\n"
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    for fmt in ("csv", "json", "human"):
+        cmd = [sys.executable, "-m", "bindex", "indices", "--format", fmt]
+        by_file = subprocess.run(cmd + ["-i", str(path)], capture_output=True, timeout=120)
+        by_stdin = subprocess.run(cmd, input=data, capture_output=True, timeout=120)
+        assert by_file.returncode == by_stdin.returncode == 0, by_file.stderr
+        assert by_file.stdout == by_stdin.stdout, fmt
+        assert by_file.stderr == by_stdin.stderr == b""
+    rows = parse_csv(run("indices", "-i", str(path), "--format", "csv").stdout)
+    assert [(r["graph6"], r["w"], r["error"]) for r in rows] == [
+        ("DhC", "20", ""),
+        ("\\xff", "", "invalid graph6 byte 0xff at offset 0"),
+        ("F\\xc3\\xa9", "", "invalid graph6 byte 0xc3 at offset 1"),
+        ("\\xa0", "", "invalid graph6 byte 0xa0 at offset 0"),
+        ("!!bad!!", "", "invalid graph6 byte 0x21 at offset 0"),
+    ]
+
+
+def test_indices_csv_streams_rows_before_stdin_closes():
+    # a buffered child stdout, so a row shows up only if the command flushes it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bindex", "indices", "--format", "csv"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    try:
+        proc.stdin.write(b"DhC\n")
+        proc.stdin.flush()
+        got = b""
+        deadline = time.monotonic() + 60  # a hang fails here instead of blocking
+        while got.count(b"\n") < 2:
+            ready, _, _ = select.select([proc.stdout], [], [], max(0, deadline - time.monotonic()))
+            assert ready, f"no first row while stdin is open, got {got!r}"
+            chunk = os.read(proc.stdout.fileno(), 4096)
+            assert chunk, f"output ended early: {got!r}"
+            got += chunk
+        assert proc.poll() is None  # still reading stdin
+        assert got == b"graph6,n,m,w,ww,h,cei,eds,error\nDhC,5,4,20,35,77/12,17/6,134,\n"
+        proc.stdin.write(b"Dhc\n")
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stdout.read().startswith(b"Dhc,5,5,")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
 
 
 def test_indices_from_file(tmp_path):

@@ -170,6 +170,19 @@ def test_graph6_decode_rejects_garbage():
             graph6_decode(text)
 
 
+def test_graph6_decode_reads_bytes_and_names_the_raw_byte():
+    assert graph6_decode(b" DhC\r\n") == graph6_decode("DhC") == path(5)
+    for raw, msg in [
+        (b"\xff", "invalid graph6 byte 0xff at offset 0"),
+        ("F\u00e9".encode("utf-8"), "invalid graph6 byte 0xc3 at offset 1"),
+        # not ASCII whitespace: never stripped, so blamed as the byte it is
+        (b"DhC\xa0", "invalid graph6 byte 0xa0 at offset 3"),
+        ("DhC\x1f", "invalid graph6 byte 0x1f at offset 3"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            graph6_decode(raw)
+
+
 def test_known_graph6_form():
     # upper triangle read column by column, six bits per printable byte:
     # 5-path packs 1 01 001 0001 (+ two pad bits) into 41, 4 -> "DhC",

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -40,16 +41,52 @@ from bindex.oracle import (
 
 W = IndexKind.W
 
-# connected bipartite isomorphism classes by vertex count
-CLASS_COUNTS = [1, 1, 1, 3, 5, 17, 44, 182]
+# connected bipartite isomorphism classes by vertex count, OEIS A005142
+CLASS_COUNTS = [1, 1, 1, 3, 5, 17, 44, 182, 730, 4032]
 
 
 def test_enumeration_class_counts():
     for n, want in enumerate(CLASS_COUNTS, start=1):
-        got = list(enumerate_connected_bipartite(n))
+        got = list(enumerate_connected_bipartite(n, cap=10))
         assert len(got) == want, n
-        certs = {certificate(g) for g in got}
-        assert len(certs) == want  # no class listed twice
+        if n <= 8:  # certificates past n = 8 take seconds; n = 9, 10 are counts only
+            certs = {certificate(g) for g in got}
+            assert len(certs) == want  # no class listed twice
+
+
+@pytest.mark.slow
+def test_enumeration_class_count_n11():
+    assert sum(1 for _ in enumerate_connected_bipartite(11, cap=11)) == 25598
+
+
+@pytest.mark.parametrize(
+    "s, t", [(s, t) for t in range(1, 8) for s in range(1, t + 1) if s + t <= 8]
+)
+def test_search_yields_the_whole_multiset_rule(s, t):
+    """The prefix search keeps exactly what the whole-multiset rule keeps.
+
+    The rule: a sorted tuple of t nonempty s-bit column masks is canonical
+    iff no row permutation maps it to a smaller sorted tuple and, when
+    s = t, neither does any row permutation of its transpose (the rows as
+    t-bit masks). The search must yield the connected canonical tuples, in
+    the same order, as graphs with rows 0..s-1 and columns s..s+t-1.
+    """
+    remaps = []
+    for p in permutations(range(s)):
+        remaps.append([sum(1 << p[i] for i in range(s) if c >> i & 1) for c in range(1 << s)])
+    want = []
+    for combo in combinations_with_replacement(range(1, 1 << s), t):
+        rows = tuple(sum(1 << j for j in range(t) if combo[j] >> i & 1) for i in range(s))
+        images = [tuple(sorted(tbl[c] for c in combo)) for tbl in remaps]
+        if s == t:
+            images += [tuple(sorted(tbl[r] for r in rows)) for tbl in remaps]
+        if min(images) < combo:
+            continue
+        edges = [(i, s + j) for j in range(t) for i in range(s) if combo[j] >> i & 1]
+        g = new_graph(s + t, edges)
+        if is_connected(g):
+            want.append(g)
+    assert list(oracle._classes_with_parts(s, t)) == want
 
 
 def test_certificates_at_n8_are_byte_identical():
@@ -86,6 +123,21 @@ def test_verify_bound_known_optimum():
     assert report.oracle_certificates == (certificate(b_graph(BkSpec(8, 2, 2))).decode(),)
     # the other family member is strictly worse here
     assert compute(W, b_graph(BkSpec(8, 2, 3))) == 49
+
+
+def test_sweep_computes_only_the_requested_kinds(monkeypatch):
+    asked = []
+    real = oracle.all_indices
+
+    def spy(g, kinds):
+        asked.append(tuple(kinds))
+        return real(g, kinds)
+
+    monkeypatch.setattr(oracle, "all_indices", spy)
+    (report,) = verification_sweep([8], [W], ks=[2])
+    assert asked and set(asked) == {(W,)}
+    # W is an int per graph; the report still carries a Fraction
+    assert type(report.oracle_value) is Fraction and report.oracle_value == 48
 
 
 def test_verify_bound_infeasible_k():
