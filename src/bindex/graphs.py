@@ -9,8 +9,8 @@ the graph6 interchange format.
 
 Breadth-first search is one primitive, layers(), which yields the BFS
 layers from one root as vertex masks. Distances, connectivity, bipartitions
-by level parity and the shores of a cut edge are all built on it; only two
-hot loops elsewhere stay inline, each with a comment saying why.
+by level parity and the shores of a cut edge are all built on it; only one
+hot loop elsewhere stays inline, indices._profile, with a comment saying why.
 """
 
 from __future__ import annotations

@@ -11,14 +11,15 @@ Connectivity makes the bipartition unique, so no class can appear under
 two splits.
 
 A second, fully labeled path rebuilds the same classes from raw edge
-subsets (scan the masks, keep connected bipartite ones, collapse orbits
-under all vertex permutations). The scan skips whole blocks of masks whose
-fixed edges already hold an odd cycle or too many edges, found with
-graphs.bipartition; it keeps a mask only on its own inline BFS, its hot
-loop. The enumeration tests connectivity with graphs.layers. Beyond that
-the two paths share no code, which is the point: their agreement is
-checked, not assumed, and a block skipped in error would show as a count
-mismatch against the enumeration and OEIS A001832.
+subsets (list the connected bipartite edge masks, then collapse orbits
+under all vertex permutations). The masks come from one depth-first
+search that decides the vertex pairs edge by edge, carrying each
+component's two color classes: it drops a branch at its first odd cycle,
+or when too few pairs are left to join its components. The enumeration
+tests connectivity with graphs.layers. The two paths share no code, which
+is the point: their agreement is checked, not assumed, and a branch
+dropped in error would show as a count mismatch against the enumeration
+and OEIS A001832.
 
 verification_sweep is the one verification path: it enumerates each n
 once, groups the classes by cut edge count, finds each index's optimum and
@@ -31,7 +32,7 @@ one process; the n = 10 sweep takes about a second.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from itertools import combinations_with_replacement  # noqa: F401  benchmarks/spans.py counts through it
@@ -43,7 +44,6 @@ from .extremal import optimize
 from .graphs import (
     Graph,
     _bits,
-    bipartition,
     bridges,
     certificate,
     is_connected,
@@ -207,14 +207,6 @@ class VerificationReport:
         )
 
 
-def _verdict(report: VerificationReport) -> str:
-    if report.oracle_value != report.predicted_value:
-        return "value-mismatch"
-    if report.oracle_certificates != report.predicted_certificates:
-        return "family-mismatch"
-    return "match"
-
-
 def bound_rows(n: int, ks: Iterable[int] | None = None) -> list[int]:
     """Cut edge counts the bounds cover at this n: 1..n-4 plus the tree row."""
     if n < 5:
@@ -297,17 +289,17 @@ def _sweep(
             for kind in todo[k]:
                 bound = optimize(kind, n, k)
                 value, graphs = best[kind]
-                report = VerificationReport(
-                    kind,
-                    n,
-                    k,
-                    Fraction(value),
-                    _certs(graphs, cap),
-                    bound.value,
-                    _certs((b_graph(spec) for spec in bound.family), cap),
-                    "",
+                found = _certs(graphs, cap)
+                family = _certs((b_graph(spec) for spec in bound.family), cap)
+                if value != bound.value:
+                    verdict = "value-mismatch"
+                elif found != family:
+                    verdict = "family-mismatch"
+                else:
+                    verdict = "match"
+                yield VerificationReport(
+                    kind, n, k, Fraction(value), found, bound.value, family, verdict
                 )
-                yield replace(report, verdict=_verdict(report))
 
 
 def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
@@ -317,13 +309,13 @@ def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
     1-based line, e.g. the cut last line of an interrupted run.
     """
     out: dict[tuple[str, int, int], VerificationReport] = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                report = VerificationReport.from_dict(json.loads(line))
+                report = VerificationReport.from_dict(json.loads(line.decode("ascii")))
             except json.JSONDecodeError as e:
                 raise ValueError(
                     f"{path}, line {lineno}: {e.msg} at column {e.colno}"
@@ -368,112 +360,53 @@ def _pairs(n: int) -> list[tuple[int, int]]:
 
 
 def labeled_connected_bipartite_masks(n: int) -> list[int]:
-    """Scan raw edge-subset masks and keep the connected bipartite ones.
+    """The connected bipartite edge masks on n labeled vertices, ascending.
 
-    Brute force over 2^(n choose 2) masks (n <= 7), in ascending order,
-    written for speed. The mask is split into three 7-bit chunks walked as
-    nested loops, high chunk outermost; chunk tables give adjacency and
-    vertex coverage by lookup. The two outer levels skip the whole block of
-    inner masks when the edges fixed so far already hold an odd cycle or
-    number more than n^2/4: adding edges never removes an odd cycle or
-    lowers the count, so no mask in that block can be kept. Every mask that
-    reaches the inner loop gets the edge count window [n-1, n^2/4], the
-    coverage test and the full connected-bipartite check. Fewer than three
-    chunks (n <= 5) are padded with an empty one, so every n takes the same
-    loops.
+    Bit i of a mask is the i-th vertex pair in lexicographic order. A
+    depth-first search decides the pairs from the highest bit down, leaving
+    each pair out before putting it in, so masks come out in ascending
+    order. Each branch carries its components as pairs of color masks. An
+    edge inside one color class closes an odd cycle, and adding edges never
+    removes one, so that branch ends; an edge across two components merges
+    them with their colors aligned. Each edge joins at most two components,
+    so a branch with c components and fewer than c - 1 pairs left is
+    dropped, and every leaf reached is connected.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"labeled scan supports 2 <= n <= 7, got n={n}")
     pairs = _pairs(n)
-    nbits = len(pairs)
-    chunk_meta = []
-    for ofs in range(0, nbits, 7):
-        width = min(7, nbits - ofs)
-        adj_table = []
-        cov_table = []
-        for val in range(1 << width):
-            adj = [0] * n
-            cov = 0
-            for b in range(width):
-                if val >> b & 1:
-                    u, v = pairs[ofs + b]
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                    cov |= 1 << u | 1 << v
-            adj_table.append(tuple(adj))
-            cov_table.append(cov)
-        chunk_meta.append((ofs, (1 << width) - 1, adj_table, cov_table))
-    full = (1 << n) - 1
-    emin = n - 1
-    emax = n * n // 4
     out = []
-    while len(chunk_meta) < 3:
-        chunk_meta.append((nbits, 0, [(0,) * n], [0]))  # one index, 0: no edges
-    (o0, m0, a0, c0), (o1, m1, a1, c1), (o2, m2, a2, c2) = chunk_meta
 
-    def hopeless(edges: int, adj: tuple[int, ...]) -> bool:
-        return edges > emax or bipartition(Graph(n, adj)) is None
+    def side(comps, w):
+        # w's component, as (w's color class, the other class)
+        for a, b in comps:
+            if a >> w & 1:
+                return a, b
+            if b >> w & 1:
+                return b, a
 
-    for i2 in range(m2 + 1):
-        e2 = i2.bit_count()
-        adj2 = a2[i2]
-        if hopeless(e2, adj2):
-            continue
-        for i1 in range(m1 + 1):
-            e1 = e2 + i1.bit_count()
-            adj1 = tuple(x | y for x, y in zip(adj2, a1[i1]))
-            if hopeless(e1, adj1):
-                continue
-            high = i2 << o2 | i1 << o1
-            cov1 = c2[i2] | c1[i1]
-            for i0 in range(m0 + 1):
-                e = e1 + i0.bit_count()
-                if e < emin or e > emax:
-                    continue
-                if cov1 | c0[i0] != full:
-                    continue
-                adj = [x | y for x, y in zip(adj1, a0[i0])]
-                if _connected_bipartite_mask(adj, full):
-                    out.append(high | i0)
+    def grow(i, mask, comps):
+        # pairs 0..i-1 are undecided
+        if len(comps) - 1 > i:
+            return
+        if i == 0:
+            out.append(mask)  # one component: the check above let no other through
+            return
+        i -= 1
+        grow(i, mask, comps)
+        u, v = pairs[i]
+        (cu, ou), (cv, ov) = side(comps, u), side(comps, v)
+        if cu == cv:  # u and v share a color: an odd cycle
+            return
+        if cu == ov:  # already one component
+            grow(i, mask | 1 << i, comps)
+            return
+        both = 1 << u | 1 << v
+        rest = tuple(c for c in comps if not (c[0] | c[1]) & both)
+        grow(i, mask | 1 << i, rest + ((cu | ov, ou | cv),))
+
+    grow(len(pairs), 0, tuple((1 << v, 0) for v in range(n)))
     return out
-
-
-def _connected_bipartite_mask(adj: list[int], full: int) -> bool:
-    # inline, not graphs.layers: the n = 7 scan makes 350,601 calls; layers() doubled their time
-    seen = 1
-    frontier = 1
-    even = 1
-    odd = 0
-    level = 0
-    while frontier:
-        reach = 0
-        f = frontier
-        while f:
-            low = f & -f
-            reach |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = reach & ~seen
-        seen |= frontier
-        level ^= 1
-        if level:
-            odd |= frontier
-        else:
-            even |= frontier
-    if seen != full:
-        return False
-    f = even
-    while f:
-        low = f & -f
-        if adj[low.bit_length() - 1] & even:
-            return False
-        f ^= low
-    f = odd
-    while f:
-        low = f & -f
-        if adj[low.bit_length() - 1] & odd:
-            return False
-        f ^= low
-    return True
 
 
 def labeled_class_certificates(n: int) -> frozenset[bytes]:

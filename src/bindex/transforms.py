@@ -233,8 +233,10 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> P
     """Add absent edges and check every index moves the right way.
 
     samples=None probes every absent pair; otherwise a seeded sample of
-    that size. The graph must be connected and not complete.
+    that size, at least 1. The graph must be connected and not complete.
     """
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if not is_connected(g):
         raise ValueError("monotonicity probe needs a connected graph")
     absent = [

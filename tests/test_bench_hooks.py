@@ -9,6 +9,8 @@ from __future__ import annotations
 from importlib import import_module
 from pathlib import Path
 
+from bindex import oracle
+
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
@@ -21,3 +23,18 @@ def test_every_span_hook_resolves(monkeypatch):
         assert callable(getattr(import_module(module), attr)), (module, attr)
     # Tracer.install also counts multisets through this one
     assert callable(import_module("bindex.oracle").combinations_with_replacement)
+
+
+def test_labeled_scan_goes_through_the_module_attribute(monkeypatch):
+    # benchmarks/workloads.py LabeledScan counts kept masks by wrapping this attribute
+    scan = oracle.labeled_connected_bipartite_masks
+    seen = []
+
+    def spy(n):
+        masks = scan(n)
+        seen.append((n, len(masks)))
+        return masks
+
+    monkeypatch.setattr(oracle, "labeled_connected_bipartite_masks", spy)
+    oracle.labeled_class_certificates(5)
+    assert seen == [(5, 195)]

@@ -358,6 +358,15 @@ def test_probe_add_edge_sampled():
     assert len(parse_csv(a.stdout)) == 4
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_probe_add_edge_rejects_samples_below_one(samples):
+    g6 = graph6_encode(star(6))
+    res = run("probe", "add-edge", "--g6", g6, "--samples", samples, "--strict")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"error: samples must be >= 1, got {samples}\n"
+
+
 def test_probe_contract():
     g6 = graph6_encode(new_graph(4, [(0, 1), (1, 2), (2, 3)]))
     res = run("probe", "contract", "--g6", g6, "--u", "1", "--w", "2",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -123,6 +124,22 @@ def test_verify_bound_known_optimum():
     assert report.oracle_certificates == (certificate(b_graph(BkSpec(8, 2, 2))).decode(),)
     # the other family member is strictly worse here
     assert compute(W, b_graph(BkSpec(8, 2, 3))) == 49
+
+
+@pytest.mark.parametrize(
+    "change, verdict",
+    [
+        ({"value": Fraction(47)}, "value-mismatch"),
+        ({"family": (BkSpec(8, 2, 3),)}, "family-mismatch"),
+        ({"value": Fraction(47), "family": (BkSpec(8, 2, 3),)}, "value-mismatch"),
+    ],
+)
+def test_verify_bound_verdict_names_what_differs(monkeypatch, change, verdict):
+    real = oracle.optimize
+    monkeypatch.setattr(oracle, "optimize", lambda *args: replace(real(*args), **change))
+    report = verify_bound(W, 8, 2)
+    assert report.verdict == verdict
+    assert not report.matched
 
 
 def test_sweep_computes_only_the_requested_kinds(monkeypatch):
@@ -242,12 +259,14 @@ def test_load_reports_accepts_a_row_with_elapsed_ms(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", ['{"index": "h", "n"', '{"index": "h"}'], ids=["cut-row", "missing-field"]
+    "bad",
+    [b'{"index": "h", "n"', b'{"index": "h"}', b'{"index": "h\xff"}'],
+    ids=["cut-row", "missing-field", "non-ascii"],
 )
 def test_load_reports_names_file_and_line_of_a_bad_row(tmp_path, bad):
-    good = json.dumps(verify_bound(IndexKind.H, 6, 1).to_dict())
+    good = json.dumps(verify_bound(IndexKind.H, 6, 1).to_dict()).encode("ascii")
     path = tmp_path / "rows.jsonl"
-    path.write_text(good + "\n\n" + bad + "\n")  # blank lines still count
+    path.write_bytes(good + b"\n\n" + bad + b"\n")  # blank lines still count
     with pytest.raises(ValueError, match=r"rows\.jsonl, line 3: "):
         load_reports(path)
 
@@ -290,11 +309,10 @@ def test_labeled_scan_counts():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_labeled_scan_matches_per_mask_filter(n):
-    """The block-skipping scan keeps exactly what a plain filter keeps, in order.
+    """The edge-by-edge search keeps exactly what a plain filter keeps, in order.
 
-    Bit i of a mask is the i-th vertex pair in lexicographic order. Masks
-    for n <= 5 span fewer than three 7-bit chunks, so they also cover the
-    padded chunks.
+    Bit i of a mask is the i-th vertex pair in lexicographic order. n = 7
+    has 2^21 masks, too many to filter here; its output is pinned below.
     """
     pairs = list(combinations(range(n), 2))
     want = []
@@ -303,6 +321,13 @@ def test_labeled_scan_matches_per_mask_filter(n):
         if is_connected(g) and bipartition(g) is not None:
             want.append(mask)
     assert labeled_connected_bipartite_masks(n) == want
+
+
+def test_labeled_scan_n7_is_pinned():
+    # sha256 of the 67263 kept masks, comma-joined in the order returned
+    masks = labeled_connected_bipartite_masks(7)
+    digest = hashlib.sha256(",".join(map(str, masks)).encode("ascii")).hexdigest()
+    assert digest == "1a5bc8489a52953c38fcff44306967e5e168a2592239c813bf69049aeda596ab"
 
 
 def test_labeled_classes_agree_with_generator():

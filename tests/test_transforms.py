@@ -344,6 +344,9 @@ def test_probe_rejects_complete_and_disconnected():
         monotonicity_probe(k4)
     with pytest.raises(ValueError):
         monotonicity_probe(new_graph(4, [(0, 1), (2, 3)]))
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=rf"^samples must be >= 1, got {samples}$"):
+            monotonicity_probe(cycle(8), samples=samples)
 
 
 def test_edge_addition_sign_table():
