@@ -19,7 +19,7 @@ from typing import Iterable
 
 import click
 
-from .constructors import BkSpec, DecoratedCore, Infeasible, b_graph, complete_bipartite, realize, star
+from .constructors import BkSpec, DecoratedCore, Infeasible, b_graph, complete_bipartite, feasible_cut_edge_counts, realize, star
 from .extremal import closed_form, optimize, reconcile
 from .graphs import bridges, certificate, graph6_decode, graph6_encode
 from .indices import IndexKind, all_indices
@@ -288,11 +288,14 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict) -> None:
 
 @cli.command("enumerate")
 @click.option("--n", type=int, required=True)
-@click.option("--k", type=int, default=None, help="keep only graphs with exactly k cut edges")
+@click.option("--k", type=int, default=None, help="keep only graphs with exactly k cut edges; exit 2 if no graph has k")
 @click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
 @_fmt_option(default="graph6", extra=("graph6",))
 def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
     """List connected bipartite classes as sorted canonical graph6 lines."""
+    if k is not None and k not in feasible_cut_edge_counts(n):
+        ks = ", ".join(map(str, feasible_cut_edge_counts(n)))
+        raise Infeasible(f"no connected bipartite graph on n={n} vertices has k={k} cut edges (feasible k: {ks})")
     graphs = list(enumerate_connected_bipartite(n, cap))
     if k is not None:
         graphs = filter_by_cut_edges(graphs, k)

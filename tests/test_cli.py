@@ -339,6 +339,16 @@ def test_enumerate_counts_and_fields():
     assert all(r["cut_edges"] == 2 for r in rows)
 
 
+@pytest.mark.parametrize("k", [4, -1, 6])  # k = n-2, below 0, and past n-1
+def test_enumerate_rejects_infeasible_k(k):
+    res = run("enumerate", "--n", "6", "--k", str(k))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == (
+        f"error: no connected bipartite graph on n=6 vertices has k={k} cut edges"
+        " (feasible k: 0, 1, 2, 5)\n"
+    )
+
+
 def test_probe_add_edge():
     g6 = graph6_encode(star(6))
     res = run("probe", "add-edge", "--g6", g6, "--strict", "--format", "csv")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bindex import graphs
 from bindex.graphs import (
     UNREACHABLE,
     bipartition,
@@ -22,6 +23,7 @@ from bindex.graphs import (
     relabel,
 )
 from conftest import random_connected_bipartite, scrambled
+from reference import reference_certificate
 
 
 def path(n):
@@ -149,6 +151,67 @@ def test_graph6_round_trip_any_graph(g):
     enc = graph6_encode(g)
     assert enc.startswith("~") == (g.n > 62)
     assert graph6_decode(enc) == g
+
+
+def complete(n):
+    return new_graph(n, [(u, v) for v in range(n) for u in range(v)])
+
+
+CYCLE_10 = new_graph(10, [(i, (i + 1) % 10) for i in range(10)])
+PETERSEN = new_graph(
+    10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+CUBE = new_graph(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3) if v < v ^ 1 << b])
+K_5_5 = new_graph(10, [(u, v) for u in range(5) for v in range(5, 10)])
+THREE_TRIANGLES_AND_K1 = new_graph(
+    10, [(3 * t + i, 3 * t + j) for t in range(3) for i, j in ((0, 1), (1, 2), (0, 2))]
+)
+SYMMETRIC = {
+    "K10": complete(10),
+    "empty10": new_graph(10),
+    "K5,5": K_5_5,
+    "C10": CYCLE_10,
+    "Petersen": PETERSEN,
+    "Q3": CUBE,
+    "3K3+K1": THREE_TRIANGLES_AND_K1,
+}
+
+
+def test_certificate_tries_one_of_each_true_twin_class(monkeypatch):
+    # every vertex of K10 is a true twin of every other: one branch per
+    # node, so ten nodes, where branching on each twin would take 10!
+    calls = 0
+    search = graphs._maximum_independent_sets
+
+    def counted(adj, cands):
+        nonlocal calls
+        calls += 1
+        assert calls <= 10, "branched on a true twin"
+        return search(adj, cands)
+
+    monkeypatch.setattr(graphs, "_maximum_independent_sets", counted)
+    assert certificate(complete(10)) == reference_certificate(complete(10))
+    assert calls == 10
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_certificate_matches_reference_on_symmetric_graphs(name):
+    # twins (K10, the empty graph, K5,5, 3K3+K1) and vertex-transitive graphs
+    # with no twins (C10, Petersen, Q3) stress the twin merge and the
+    # maximum independent set step, where a wrong cell search would differ
+    g = SYMMETRIC[name]
+    assert certificate(g) == reference_certificate(g)
+    rng = random.Random(name)
+    assert certificate(scrambled(rng, g)) == certificate(g)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(any_graphs(max_n=9))
+@example(new_graph(3, [(0, 1)]))
+@example(new_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)]))  # the center is no maximum set
+def test_certificate_matches_reference_on_any_graph(g):
+    assert certificate(g) == reference_certificate(g)
 
 
 def test_graph6_decode_rejects_garbage():

@@ -50,14 +50,15 @@ def test_enumeration_class_counts():
     for n, want in enumerate(CLASS_COUNTS, start=1):
         got = list(enumerate_connected_bipartite(n, cap=10))
         assert len(got) == want, n
-        if n <= 8:  # certificates past n = 8 take seconds; n = 9, 10 are counts only
-            certs = {certificate(g) for g in got}
-            assert len(certs) == want  # no class listed twice
+        certs = {certificate(g) for g in got}
+        assert len(certs) == want  # no class listed twice
 
 
 @pytest.mark.slow
 def test_enumeration_class_count_n11():
-    assert sum(1 for _ in enumerate_connected_bipartite(11, cap=11)) == 25598
+    got = list(enumerate_connected_bipartite(11, cap=11))
+    assert len(got) == 25598
+    assert len({certificate(g, limit=11) for g in got}) == 25598  # no class listed twice
 
 
 @pytest.mark.parametrize(
@@ -91,12 +92,20 @@ def test_search_yields_the_whole_multiset_rule(s, t):
 
 
 def test_certificates_at_n8_are_byte_identical():
-    # sha256 of the 182 sorted n = 8 certificates, one per line, as first
-    # written by the relabel-and-encode certificate; n = 7 is pinned by
+    # sha256 of the sorted certificates, one per line: n = 8 as first written
+    # by the relabel-and-encode certificate, n = 9 and 10 as written by the
+    # vertex-by-vertex branch and bound; n = 7 is pinned by
     # tests/golden/enumerate_n7.g6
-    certs = sorted(certificate(g).decode("ascii") for g in enumerate_connected_bipartite(8))
-    digest = hashlib.sha256("\n".join(certs).encode("ascii")).hexdigest()
-    assert digest == "37b3e8eedf8fb535f2ace010586c6a6e069af713ffcd5169f5ef68aef83a93a8"
+    pinned = {
+        8: (182, "37b3e8eedf8fb535f2ace010586c6a6e069af713ffcd5169f5ef68aef83a93a8"),
+        9: (730, "1368f5e8f8ee5713bae9533ffdbb378c01a774b4126f1aee88bbd353a0b2203f"),
+        10: (4032, "2c6e0cf519241bc622822b5ce0b945e20313c567a58ac62549b151ff7fb232bf"),
+    }
+    for n, (lines, want) in pinned.items():
+        graphs = enumerate_connected_bipartite(n, cap=10)
+        certs = sorted(certificate(g).decode("ascii") for g in graphs)
+        assert len(certs) == lines, n
+        assert hashlib.sha256("\n".join(certs).encode("ascii")).hexdigest() == want, n
 
 
 def test_enumeration_emits_connected_bipartite_graphs():
