@@ -13,6 +13,7 @@ deterministic, so equal parameters give byte-equal graph6 strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .graphs import Graph, new_graph
 
@@ -96,10 +97,9 @@ def realize(core: DecoratedCore) -> Graph:
 class BkSpec:
     """Parameters (n, k, x) of B_k(x, n-k-x); y is derived.
 
-    Validity: k >= 1 cut edges, parts 2 <= x <= y except the degenerate
-    star row k = n - 1 where the graph collapses to S_n (x = 1, y = 0).
-    A bipartite graph on n vertices cannot have exactly n-2 or n-3 cut
-    edges, so those k are rejected outright.
+    Validity: (n, k) is a row of the bounds (check_bound_row), and parts
+    2 <= x <= y except the degenerate star row k = n - 1 where the graph
+    collapses to S_n (x = 1, y = 0).
     """
 
     n: int
@@ -109,16 +109,7 @@ class BkSpec:
 
     def __post_init__(self):
         n, k, x = self.n, self.k, self.x
-        if n < 5:
-            raise Infeasible(f"family defined for n>=5, got n={n}")
-        if k < 1:
-            raise Infeasible(f"k must be >=1, got k={k}")
-        if k in (n - 2, n - 3):
-            raise Infeasible(
-                f"k={k} infeasible: no bipartite graph on n={n} vertices has exactly {k} cut edges"
-            )
-        if k > n - 1:
-            raise Infeasible(f"k={k} exceeds the maximum n-1={n - 1}")
+        check_bound_row(n, k)
         if k == n - 1:
             if x != 1:
                 raise Infeasible(f"k=n-1 is the star row and requires x=1, got x={x}")
@@ -161,3 +152,20 @@ def feasible_cut_edge_counts(n: int) -> tuple[int, ...]:
     if n <= 3:
         return tuple(k for k in full if k == n - 1)  # trees only below C_4
     return tuple(full)
+
+
+def bound_cut_edge_counts(n: int) -> tuple[int, ...]:
+    """The k the sharp bounds cover on n >= 5 vertices: every feasible k
+    but 0, that is 1..n-4 and the tree row k = n-1."""
+    if n < 5:
+        raise Infeasible(f"bounds defined for n>=5, got n={n}")
+    return feasible_cut_edge_counts(n)[1:]
+
+
+@cache  # every closed-form call checks its row; a failing row raises and is not cached
+def check_bound_row(n: int, k: int) -> None:
+    """Raise Infeasible unless the bounds cover k cut edges on n vertices."""
+    if k not in bound_cut_edge_counts(n):
+        raise Infeasible(
+            f"k={k} out of range: need 1 <= k <= n-4 = {n - 4} or the tree row k = n-1"
+        )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructors import BkSpec, Infeasible, star
+from .constructors import BkSpec, Infeasible, check_bound_row, star
 from .indices import IndexKind, compute
 
 _ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
@@ -35,24 +35,13 @@ TABLE_RELATION = {
 }
 
 
-def _check_params(n: int, k: int) -> None:
-    if n < 5:
-        raise Infeasible(f"bounds defined for n>=5, got n={n}")
-    if k == n - 1:
-        return
-    if not 1 <= k <= n - 4:
-        raise Infeasible(
-            f"k={k} out of range: need 1 <= k <= n-4 = {n - 4} or the tree row k = n-1"
-        )
-
-
 def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
     """Index value of B_k(x, n-k-x) as a polynomial in x.
 
     Defined for 1 <= k <= n-4 and integer 2 <= x <= n-k-x; the tree row
     k = n-1 has no x freedom and is served by star_value instead.
     """
-    _check_params(n, k)
+    check_bound_row(n, k)
     if k == n - 1:
         raise Infeasible("the tree row k = n-1 has no x freedom")
     if x != int(x) or int(x) not in admissible_x(n, k):
@@ -81,7 +70,7 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
 
 def admissible_x(n: int, k: int) -> range:
     """Integer x with 2 <= x <= n-k-x; empty for the tree row k = n-1."""
-    _check_params(n, k)
+    check_bound_row(n, k)
     if k == n - 1:
         return range(2, 2)
     return range(2, (n - k) // 2 + 1)
@@ -106,7 +95,7 @@ def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
     The tree row k = n-1 returns the star value computed straight from the
     graph itself.
     """
-    _check_params(n, k)
+    check_bound_row(n, k)
     direction = kind.bound_direction
     if k == n - 1:
         value = star_value(kind, n)
@@ -174,7 +163,7 @@ def case_table(kind: IndexKind, n: int, k: int) -> CaseRow:
 
     Known quirks are preserved on purpose; reconcile() reports them.
     """
-    _check_params(n, k)
+    check_bound_row(n, k)
     F = Fraction
     if kind is IndexKind.W:
         if k == n - 1:

@@ -39,7 +39,7 @@ from itertools import combinations_with_replacement  # noqa: F401  benchmarks/sp
 from operator import add
 from typing import Iterable, Iterator
 
-from .constructors import Infeasible, b_graph, feasible_cut_edge_counts
+from .constructors import Infeasible, b_graph, bound_cut_edge_counts
 from .extremal import optimize
 from .graphs import (
     Graph,
@@ -123,7 +123,7 @@ def enumerate_connected_bipartite(n: int, cap: int = DEFAULT_CAP) -> Iterator[Gr
     purpose for bigger sweeps.
     """
     if n < 1:
-        raise ValueError(f"need n>=1, got n={n}")
+        raise Infeasible(f"need n>=1, got n={n}")
     _check_cap(n, cap)
     if n == 1:
         yield new_graph(1)
@@ -208,10 +208,8 @@ class VerificationReport:
 
 
 def bound_rows(n: int, ks: Iterable[int] | None = None) -> list[int]:
-    """Cut edge counts the bounds cover at this n: 1..n-4 plus the tree row."""
-    if n < 5:
-        raise Infeasible(f"bounds defined for n>=5, got n={n}")
-    rows = [k for k in feasible_cut_edge_counts(n) if k >= 1]
+    """Cut edge counts the bounds cover at this n, kept to ks if given."""
+    rows = list(bound_cut_edge_counts(n))
     if ks is not None:
         wanted = set(ks)
         rows = [k for k in rows if k in wanted]

@@ -10,9 +10,12 @@ indices in a known direction:
 * shift_pendants_across_parts: move the pendants sitting on the large-part
   vertex of a doubly decorated core over to the small-part vertex.
 
-Where a delta has a closed form it is predicted exactly; everywhere else
-only its strict sign is promised. monotonicity_probe checks the edge
-addition law (W, WW, EDS fall, H and CEI rise) on sampled absent edges.
+Each contract is one expectation map from every index to either its exact
+delta (a Fraction, where a closed form is known) or the sign the delta
+must have ("<0", ">0" or ">=0"); holds() is the one check of a delta
+against its entry. EDGE_ADDITION_SIGNS is the edge addition law (W, WW,
+EDS fall, H and CEI rise), which contract_bridge also obeys and
+monotonicity_probe checks on sampled absent edges.
 """
 
 from __future__ import annotations
@@ -25,17 +28,20 @@ from .constructors import DecoratedCore
 from .graphs import Graph, add_edge, bridges, graph6_encode, is_connected, layers, new_graph
 from .indices import IndexKind, all_indices
 
-DOWN = -1  # strict decrease
-UP = 1  # strict increase
-FLAT_OR_UP = 0  # may stay equal, never falls
-
-EDGE_ADDITION_SIGNS = {
-    IndexKind.W: DOWN,
-    IndexKind.WW: DOWN,
-    IndexKind.H: UP,
-    IndexKind.CEI: UP,
-    IndexKind.EDS: DOWN,
+EDGE_ADDITION_SIGNS: dict[IndexKind, Fraction | str] = {
+    IndexKind.W: "<0",
+    IndexKind.WW: "<0",
+    IndexKind.H: ">0",
+    IndexKind.CEI: ">0",
+    IndexKind.EDS: "<0",
 }
+
+
+def holds(delta, want: Fraction | str) -> bool:
+    """Whether delta meets want: an exact value, or a sign "<0", ">0" or ">=0"."""
+    if isinstance(want, str):
+        return {"<0": delta < 0, ">0": delta > 0, ">=0": delta >= 0}[want]
+    return delta == want
 
 
 def index_deltas(before: Graph, after: Graph) -> dict[IndexKind, int | Fraction]:
@@ -43,15 +49,6 @@ def index_deltas(before: Graph, after: Graph) -> dict[IndexKind, int | Fraction]
     a = all_indices(before)
     b = all_indices(after)
     return {kind: b[kind] - a[kind] for kind in IndexKind}
-
-
-def sign_holds(delta, sign: int) -> bool:
-    """Whether delta moves the way sign (DOWN, UP or FLAT_OR_UP) promises."""
-    if sign == DOWN:
-        return delta < 0
-    if sign == UP:
-        return delta > 0
-    return delta >= 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,18 +108,14 @@ def contract_bridge(ctx: CutEdgeContext) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class ShiftPrediction:
-    """Contract of one pendant shift: exact deltas where known, else signs."""
+    """Contract of one pendant shift: per index, its exact delta or its sign."""
 
     core: DecoratedCore
     shifted: DecoratedCore
-    exact: dict[IndexKind, Fraction]
-    signs: dict[IndexKind, int]
+    expected: dict[IndexKind, Fraction | str]
 
     def check(self, deltas: dict[IndexKind, int | Fraction]) -> bool:
-        for kind, want in self.exact.items():
-            if deltas[kind] != want:
-                return False
-        return all(sign_holds(deltas[k], s) for k, s in self.signs.items())
+        return all(holds(deltas[kind], want) for kind, want in self.expected.items())
 
 
 def _part_of(core: DecoratedCore, vertex: int) -> int:
@@ -161,19 +154,14 @@ def shift_pendants_within_part(
     pendants[receiver] += pendants[donor]
     pendants[donor] = 0
     shifted = DecoratedCore(core.s, core.t, tuple(pendants))
-    exact = {
+    expected = {
         IndexKind.W: Fraction(-2 * a * b),
         IndexKind.WW: Fraction(-7 * a * b),
         IndexKind.H: Fraction(a * b, 4),
+        IndexKind.CEI: Fraction(0) if third_decorated else ">0",
+        IndexKind.EDS: Fraction(-16 * a * b) if third_decorated else "<0",
     }
-    signs = {IndexKind.W: DOWN, IndexKind.WW: DOWN, IndexKind.H: UP, IndexKind.EDS: DOWN}
-    if third_decorated:
-        exact[IndexKind.CEI] = Fraction(0)
-        exact[IndexKind.EDS] = Fraction(-16 * a * b)
-        signs[IndexKind.CEI] = FLAT_OR_UP
-    else:
-        signs[IndexKind.CEI] = UP
-    return ShiftPrediction(core, shifted, exact, signs)
+    return ShiftPrediction(core, shifted, expected)
 
 
 def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
@@ -200,18 +188,12 @@ def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
     pendants[0] += b
     pendants[s] = 0
     shifted = DecoratedCore(s, t, tuple(pendants))
-    exact = {
+    expected = {
+        **EDGE_ADDITION_SIGNS,
         IndexKind.W: Fraction(-a * b + b * (s - t)),
         IndexKind.CEI: Fraction(s * (t - 1), 6),
     }
-    signs = {
-        IndexKind.W: DOWN,
-        IndexKind.WW: DOWN,
-        IndexKind.H: UP,
-        IndexKind.CEI: UP,
-        IndexKind.EDS: DOWN,
-    }
-    return ShiftPrediction(core, shifted, exact, signs)
+    return ShiftPrediction(core, shifted, expected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +236,6 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> P
     for u, v in absent:
         after = all_indices(add_edge(g, u, v))
         deltas = {kind: after[kind] - base[kind] for kind in IndexKind}
-        ok = all(sign_holds(deltas[k], s) for k, s in EDGE_ADDITION_SIGNS.items())
+        ok = all(holds(deltas[k], want) for k, want in EDGE_ADDITION_SIGNS.items())
         probes.append(EdgeProbe(u, v, deltas, ok))
     return ProbeReport(graph6_encode(g), tuple(probes), all(p.consistent for p in probes))

@@ -28,7 +28,6 @@ from bindex import cli, indices
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.graphs import graph6_encode, new_graph
 from bindex.indices import IndexKind
-from bindex.transforms import DOWN
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -200,6 +199,17 @@ def test_bound_infeasible_k():
     assert run("bound", "--n", "9", "--k", "7").returncode == 2
 
 
+def test_bound_rejects_reconcile_with_x():
+    res = run("bound", "--n", "10", "--k", "2", "--x", "3", "--reconcile")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex bound [OPTIONS]\n"
+        "Try 'bindex bound --help' for help.\n"
+        "\n"
+        "Error: --reconcile cannot be combined with --x\n"
+    )
+
+
 def test_bound_reconcile_flags_table_quirk():
     res = run(
         "bound", "--n", "10", "--k", "2", "--index", "ww", "--reconcile",
@@ -314,6 +324,28 @@ def test_verify_streams_rows_so_an_interrupted_run_can_resume(tmp_path, monkeypa
             ["bound", "--n", "10", "--k", "2", "--reconcile", "--format", "csv"],
             None,
         ),
+        (
+            "probe_shift_within_s3_t3_exact.csv",  # exact CEI and EDS
+            ["probe", "shift-within", "--s", "3", "--t", "3", "--a", "2", "--b", "3",
+             "--others", "2:1", "--format", "csv"],
+            None,
+        ),
+        (
+            "probe_shift_within_s3_t4_signs.csv",  # CEI >0 and EDS <0
+            ["probe", "shift-within", "--s", "3", "--t", "4", "--a", "2", "--b", "3",
+             "--format", "csv"],
+            None,
+        ),
+        (
+            "probe_shift_across_s2_t3.csv",
+            ["probe", "shift-across", "--s", "2", "--t", "3", "--format", "csv"],
+            None,
+        ),
+        (
+            "probe_contract_p4.csv",
+            ["probe", "contract", "--g6", "Ch", "--u", "1", "--w", "2", "--format", "csv"],
+            None,
+        ),
     ],
 )
 def test_golden_outputs_are_byte_identical(golden, args, stdin):
@@ -337,6 +369,13 @@ def test_enumerate_counts_and_fields():
     rows = json.loads(res.stdout)
     assert len(rows) == 4
     assert all(r["cut_edges"] == 2 for r in rows)
+
+
+@pytest.mark.parametrize("args", [["--n", "0"], ["--n", "0", "--k", "0"]])
+def test_enumerate_rejects_n_below_one(args):
+    res = run("enumerate", *args)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: need n>=1, got n=0\n"
 
 
 @pytest.mark.parametrize("k", [4, -1, 6])  # k = n-2, below 0, and past n-1
@@ -428,17 +467,16 @@ def test_probe_shifts():
 @pytest.mark.parametrize("broken", ["exact", "sign"])
 def test_probe_reports_a_broken_contract(monkeypatch, broken):
     # the realized graphs cannot break a true contract, so break the prediction:
-    # one exact delta off by one, or one index left to a sign that points wrong
+    # one exact delta off by one, or one index given a sign that points wrong
     real = cli.shift_pendants_within_part
 
     def wrong(core, donor, receiver):
         pred = real(core, donor, receiver)
-        exact = dict(pred.exact)
         if broken == "exact":
-            exact[IndexKind.WW] += 1
-            return replace(pred, exact=exact)
-        del exact[IndexKind.H]  # H rises here, so DOWN must fail
-        return replace(pred, exact=exact, signs={**pred.signs, IndexKind.H: DOWN})
+            bad = {IndexKind.WW: pred.expected[IndexKind.WW] + 1}
+        else:
+            bad = {IndexKind.H: "<0"}  # H rises here, so "<0" must fail
+        return replace(pred, expected={**pred.expected, **bad})
 
     monkeypatch.setattr(cli, "shift_pendants_within_part", wrong)
     args = ["probe", "shift-within", "--s", "3", "--t", "3", "--a", "2", "--b", "3",

@@ -11,11 +11,14 @@ from bindex.constructors import (
     DecoratedCore,
     Infeasible,
     b_graph,
+    bound_cut_edge_counts,
+    check_bound_row,
     complete_bipartite,
     feasible_cut_edge_counts,
     realize,
     star,
 )
+from bindex.extremal import closed_form, optimize
 from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
 from bindex.indices import IndexKind, compute
 
@@ -166,3 +169,29 @@ def test_feasible_cut_edge_counts():
     assert feasible_cut_edge_counts(1) == (0,)
     with pytest.raises(ValueError):
         feasible_cut_edge_counts(0)
+
+
+def test_bound_rows_are_the_feasible_counts_but_zero():
+    for n in range(5, 12):
+        want = tuple(range(1, n - 3)) + (n - 1,)
+        assert bound_cut_edge_counts(n) == want
+        assert bound_cut_edge_counts(n) == feasible_cut_edge_counts(n)[1:]
+        for k in want:
+            check_bound_row(n, k)
+    with pytest.raises(Infeasible, match=r"^bounds defined for n>=5, got n=4$"):
+        bound_cut_edge_counts(4)
+
+
+@pytest.mark.parametrize("k", [0, 6, 7, 9, -1])  # below 1, n-3, n-2, past n-1
+def test_every_bound_row_check_gives_one_message(k):
+    message = rf"^k={k} out of range: need 1 <= k <= n-4 = 5 or the tree row k = n-1$"
+    for attempt in (
+        lambda: check_bound_row(9, k),
+        lambda: BkSpec(9, k, 2),
+        lambda: optimize(IndexKind.W, 9, k),
+        lambda: closed_form(IndexKind.W, 9, k, 2),
+    ):
+        with pytest.raises(Infeasible, match=message):
+            attempt()
+    with pytest.raises(Infeasible, match=r"^bounds defined for n>=5, got n=4$"):
+        BkSpec(4, 1, 2)

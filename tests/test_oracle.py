@@ -201,8 +201,14 @@ def test_verification_sweep_keeps_k_that_fits_some_n():
 def test_bound_rows():
     assert bound_rows(8) == [1, 2, 3, 4, 7]
     assert bound_rows(8, ks=[2, 7]) == [2, 7]
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match=r"^bounds defined for n>=5, got n=4$"):
         bound_rows(4)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_enumeration_below_one_vertex_is_infeasible(n):
+    with pytest.raises(Infeasible, match=rf"^need n>=1, got n={n}$"):
+        list(enumerate_connected_bipartite(n))
 
 
 def test_verify_bound_rows_match():

@@ -14,12 +14,10 @@ from bindex.constructors import DecoratedCore, realize, star
 from bindex.graphs import certificate, new_graph
 from bindex.indices import IndexKind, all_indices, compute
 from bindex.transforms import (
-    DOWN,
     EDGE_ADDITION_SIGNS,
-    FLAT_OR_UP,
-    UP,
     contract_bridge,
     cut_edge_context,
+    holds,
     index_deltas,
     monotonicity_probe,
     shift_pendants_across_parts,
@@ -42,16 +40,26 @@ def two_triangles():
     return new_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
 
 
-def signs_hold(deltas, signs):
-    for kind, sign in signs.items():
-        d = deltas[kind]
-        if sign == DOWN and not d < 0:
-            return False
-        if sign == UP and not d > 0:
-            return False
-        if sign == FLAT_OR_UP and not d >= 0:
-            return False
-    return True
+def edge_addition_law_holds(deltas):
+    return all(holds(deltas[kind], want) for kind, want in EDGE_ADDITION_SIGNS.items())
+
+
+@pytest.mark.parametrize(
+    "delta, want, expected",
+    [
+        (-1, "<0", True),
+        (0, "<0", False),
+        (F(1, 6), ">0", True),
+        (0, ">0", False),
+        (0, ">=0", True),
+        (F(-1, 4), ">=0", False),
+        (F(-12), F(-12), True),
+        (-12, F(-11), False),
+        (2, F(2), True),
+    ],
+)
+def test_holds_checks_an_exact_value_or_a_sign(delta, want, expected):
+    assert holds(delta, want) is expected
 
 
 def test_contract_bridge_turns_p4_into_star():
@@ -94,7 +102,7 @@ def test_contract_bridge_directions_on_seeded_contexts():
         after = contract_bridge(ctx)
         assert after.n == ctx.graph.n
         assert after.edge_count == ctx.graph.edge_count
-        assert signs_hold(index_deltas(ctx.graph, after), EDGE_ADDITION_SIGNS)
+        assert edge_addition_law_holds(index_deltas(ctx.graph, after))
 
 
 @st.composite
@@ -350,14 +358,14 @@ def test_probe_rejects_complete_and_disconnected():
 
 
 def test_edge_addition_sign_table():
-    assert EDGE_ADDITION_SIGNS[IndexKind.W] == DOWN
-    assert EDGE_ADDITION_SIGNS[IndexKind.H] == UP
-    assert EDGE_ADDITION_SIGNS[IndexKind.CEI] == UP
+    assert EDGE_ADDITION_SIGNS[IndexKind.W] == "<0"
+    assert EDGE_ADDITION_SIGNS[IndexKind.H] == ">0"
+    assert EDGE_ADDITION_SIGNS[IndexKind.CEI] == ">0"
     assert set(EDGE_ADDITION_SIGNS) == set(IndexKind)
     g = path(5)
     deltas = index_deltas(g, new_graph(5, list(g.edges()) + [(0, 4)]))
-    assert signs_hold(deltas, EDGE_ADDITION_SIGNS)
-    assert not signs_hold(index_deltas(g, g), EDGE_ADDITION_SIGNS)
+    assert edge_addition_law_holds(deltas)
+    assert not edge_addition_law_holds(index_deltas(g, g))
 
 
 def test_all_indices_consistency_helper():
