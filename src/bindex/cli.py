@@ -361,7 +361,7 @@ def _delta_rows(before, after, expected=EDGE_ADDITION_SIGNS) -> tuple[list[dict]
 @click.option("--b", "b_count", type=int, default=1, show_default=True, help="pendants on the receiver / large-part vertex")
 @click.option("--donor", type=int, default=0, show_default=True, help="core vertex losing pendants (shift-within)")
 @click.option("--receiver", type=int, default=1, show_default=True, help="core vertex gaining pendants (shift-within)")
-@click.option("--others", default="", help="extra decorations vertex:count,... (shift-within)")
+@click.option("--others", default="", help="extra decorations vertex:count,... (shift-within); not the donor or receiver, which take --a and --b")
 @click.option("--strict", is_flag=True, help="exit 3 when any contract fails")
 @_fmt_option()
 def cmd_probe(
@@ -399,6 +399,9 @@ def cmd_probe(
         if s is None or t is None:
             raise click.UsageError("shift-within needs --s and --t")
         counts = _parse_counts(others)
+        for vertex, role, flag in ((donor, "donor", "--a"), (receiver, "receiver", "--b")):
+            if vertex in counts:
+                raise click.UsageError(f"--others names vertex {vertex}, the {role}: give its pendants with {flag}")
         counts[donor] = a_count
         counts[receiver] = b_count
         core = DecoratedCore.make(s, t, counts)

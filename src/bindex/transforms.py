@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructors import DecoratedCore
+from .constructors import DecoratedCore, Infeasible
 from .graphs import Graph, add_edge, bridges, graph6_encode, is_connected, layers, new_graph
 from .indices import IndexKind, all_indices
 
@@ -120,7 +120,7 @@ class ShiftPrediction:
 
 def _part_of(core: DecoratedCore, vertex: int) -> int:
     if not 0 <= vertex < core.s + core.t:
-        raise ValueError(f"core vertex {vertex} out of range")
+        raise Infeasible(f"core vertex {vertex} out of range")
     return 0 if vertex < core.s else 1
 
 
@@ -137,7 +137,7 @@ def shift_pendants_within_part(
     decorated-third case. Needs both core parts of size >= 2.
     """
     if core.s < 2 or core.t < 2:
-        raise ValueError("within-part shift needs both core parts of size >= 2")
+        raise Infeasible("within-part shift needs both core parts of size >= 2")
     if donor == receiver:
         raise ValueError("donor and receiver must differ")
     if _part_of(core, donor) != _part_of(core, receiver):
@@ -174,7 +174,7 @@ def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
     """
     s, t = core.s, core.t
     if not 2 <= s <= t:
-        raise ValueError("across-part shift needs part sizes 2 <= s <= t")
+        raise Infeasible("across-part shift needs part sizes 2 <= s <= t")
     a = core.pendants[0]
     b = core.pendants[s]
     if a < 1 or b < 1:

@@ -94,11 +94,11 @@ def test_criterion_3_desk_scale_verification(desk_sweep):
 
 @pytest.mark.slow
 def test_criterion_3_n9_sweep():
-    rows = list(verification_sweep([9, 10], cap=10))
-    assert len(rows) == 65  # (6 + 7 bound rows) x 5 indices
+    rows = list(verification_sweep([9, 10, 11], cap=11))
+    assert len(rows) == 105  # (6 + 7 + 8 bound rows) x 5 indices
     findings = [r.to_dict() for r in rows if not r.matched]
     assert findings == [], findings
-    print("PASS criterion 3: n = 9, 10 sweeps fully matched")
+    print("PASS criterion 3: n = 9, 10, 11 sweeps fully matched")
 
 
 def test_criterion_4_star_row_errata_detection():

@@ -464,6 +464,41 @@ def test_probe_shifts():
     assert all(r["ok"] == "yes" for r in rows.values())
 
 
+@pytest.mark.parametrize(
+    "others, message",
+    [
+        ("0:5", "vertex 0, the donor: give its pendants with --a"),
+        ("2:1,1:4", "vertex 1, the receiver: give its pendants with --b"),
+    ],
+)
+def test_probe_shift_within_rejects_others_on_donor_or_receiver(others, message):
+    res = run("probe", "shift-within", "--s", "3", "--t", "3", "--a", "2", "--b", "3",
+              "--others", others)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
+        "Try 'bindex probe --help' for help.\n"
+        "\n"
+        f"Error: --others names {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["shift-within", "--s", "1", "--t", "3"],
+         "within-part shift needs both core parts of size >= 2"),
+        (["shift-across", "--s", "3", "--t", "2"],
+         "across-part shift needs part sizes 2 <= s <= t"),
+        (["shift-within", "--s", "2", "--t", "2", "--others", "9:1"],
+         "core vertex 9 out of range for K_(2,2)"),
+    ],
+)
+def test_probe_infeasible_shift_exits_2(args, message):
+    res = run("probe", *args)
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("broken", ["exact", "sign"])
 def test_probe_reports_a_broken_contract(monkeypatch, broken):
     # the realized graphs cannot break a true contract, so break the prediction:

@@ -11,6 +11,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +25,8 @@ from bindex.constructors import (
     realize,
     star,
 )
-from bindex.extremal import admissible_x
-from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
+from bindex.extremal import admissible_x, optimize
+from bindex.graphs import bipartition, bridges, certificate, graph6_encode, is_connected, new_graph
 from bindex.indices import IndexKind, compute
 from bindex.oracle import (
     VerificationReport,
@@ -39,6 +40,7 @@ from bindex.oracle import (
     verification_sweep,
     verify_bound,
 )
+import reference
 
 W = IndexKind.W
 
@@ -89,6 +91,24 @@ def test_search_yields_the_whole_multiset_rule(s, t):
         if is_connected(g):
             want.append(g)
     assert list(oracle._classes_with_parts(s, t)) == want
+
+
+@pytest.mark.parametrize(
+    "s, t", [(s, n - s) for n in range(2, 11) for s in range(1, n // 2 + 1)]
+)
+def test_packed_search_matches_the_reference_search(s, t):
+    # every split with n <= 10: (5, 5), and t = 3 and t = 7, where a count
+    # digit can fill up (t = 2**digit - 1)
+    assert list(oracle._classes_with_parts(s, t)) == list(reference.classes_with_parts(s, t))
+
+
+def test_yield_order_at_n10_is_pinned():
+    # sha256 of the graph6 lines in yield order, as the per-permutation-list
+    # search first yielded them
+    lines = [graph6_encode(g) for g in enumerate_connected_bipartite(10, cap=10)]
+    assert len(lines) == 4032
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == "bd979f1a9db14ba72f9b00015cf7e2863a6fdf2ffaa3274bf6a2a8d4d4c8d0ba"
 
 
 def test_certificates_at_n8_are_byte_identical():
@@ -271,6 +291,20 @@ def test_load_reports_accepts_a_row_with_elapsed_ms(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text(json.dumps({**report.to_dict(), "elapsed_ms": 0.412}) + "\n")
     assert load_reports(path) == {("h", 6, 1): report}
+
+
+def test_committed_n12_rows_match_the_bounds():
+    # written once by `bindex verify --n 12 --cap 12 --out tests/golden/verify_n12.jsonl`;
+    # read back, never re-enumerated (212780 classes)
+    rows = load_reports(Path(__file__).parent / "golden" / "verify_n12.jsonl")
+    assert sorted(rows) == sorted((kind.value, 12, k) for kind in IndexKind for k in bound_rows(12))
+    assert len(rows) == 45
+    for (index, n, k), row in rows.items():
+        bound = optimize(IndexKind(index), n, k)
+        family = oracle._certs((b_graph(spec) for spec in bound.family), cap=12)
+        assert (row.predicted_value, row.predicted_certificates) == (bound.value, family)
+        assert (row.oracle_value, row.oracle_certificates) == (bound.value, family)
+        assert row.matched
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bindex import indices
-from bindex.constructors import DecoratedCore, realize, star
+from bindex.constructors import DecoratedCore, Infeasible, realize, star
 from bindex.graphs import certificate, new_graph
 from bindex.indices import IndexKind, all_indices, compute
 from bindex.transforms import (
@@ -208,6 +208,17 @@ def test_within_part_shift_rejects_bad_input():
         shift_pendants_within_part(DecoratedCore.make(2, 2, {0: 1}), 0, 1)
     with pytest.raises(ValueError):
         shift_pendants_within_part(DecoratedCore.make(1, 3, {1: 1, 2: 1}), 1, 2)
+
+
+def test_shifts_a_core_cannot_take_are_infeasible():
+    # Infeasible, not a plain ValueError: the CLI exits 2 for them
+    core = DecoratedCore.make(2, 2, {0: 1, 1: 1})
+    with pytest.raises(Infeasible, match=r"^core vertex 9 out of range$"):
+        shift_pendants_within_part(core, 0, 9)
+    with pytest.raises(Infeasible, match=r"^within-part shift needs both core parts of size >= 2$"):
+        shift_pendants_within_part(DecoratedCore.make(1, 3, {1: 1, 2: 1}), 1, 2)
+    with pytest.raises(Infeasible, match=r"^across-part shift needs part sizes 2 <= s <= t$"):
+        shift_pendants_across_parts(DecoratedCore.make(3, 2, {0: 1, 3: 1}))
 
 
 @st.composite
