@@ -317,14 +317,15 @@ def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
 
 def _parse_counts(text: str) -> dict[int, int]:
     out: dict[int, int] = {}
-    if not text:
-        return out
-    for item in text.split(","):
+    for item in text.split(",") if text else []:
         vertex, _, count = item.partition(":")
         try:
-            out[int(vertex)] = int(count)
+            vertex, count = int(vertex), int(count)
         except ValueError:
             raise click.UsageError(f"bad pendant spec {item!r}, want vertex:count")
+        if vertex in out:
+            raise click.UsageError(f"--others names vertex {vertex} twice")
+        out[vertex] = count
     return out
 
 
@@ -408,6 +409,10 @@ def cmd_probe(
         prediction = shift_pendants_within_part(core, donor, receiver)
         rows, ok = _delta_rows(realize(core), realize(prediction.shifted), prediction.expected)
     else:
+        source = click.get_current_context().get_parameter_source
+        given = [f"--{name}" for name in ("donor", "receiver", "others") if source(name) is not click.core.ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(f"shift-across takes no {' or '.join(given)} (shift-within only)")
         if s is None or t is None:
             raise click.UsageError("shift-across needs --s and --t")
         core = DecoratedCore.make(s, t, {0: a_count, s: b_count})

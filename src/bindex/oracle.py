@@ -11,15 +11,15 @@ Connectivity makes the bipartition unique, so no class can appear under
 two splits.
 
 A second, fully labeled path rebuilds the same classes from raw edge
-subsets (list the connected bipartite edge masks, then collapse orbits
-under all vertex permutations). The masks come from one depth-first
-search that decides the vertex pairs edge by edge, carrying each
-component's two color classes: it drops a branch at its first odd cycle,
-or when too few pairs are left to join its components. The enumeration
-tests connectivity with graphs.layers. The two paths share no code, which
-is the point: their agreement is checked, not assumed, and a branch
-dropped in error would show as a count mismatch against the enumeration
-and OEIS A001832.
+subsets. A depth-first search adds the vertices one by one, each joining
+each component so far from at most one color class, so no odd cycle is
+built, and the last vertex joining every component left; then each
+survivor's orbit is walked by Johnson-Trotter's adjacent transpositions,
+at most two delta swaps on the mask a step. The enumeration tests
+connectivity with graphs.layers. The two paths share no code, which is
+the point: their agreement is checked, not assumed, and a branch dropped
+in error would show as a count mismatch against the enumeration and OEIS
+A001832.
 
 verification_sweep is the one verification path: it enumerates each n
 once, groups the classes by cut edge count, finds each index's optimum and
@@ -353,92 +353,97 @@ def complete_bipartite_blocks(g: Graph) -> bool:
 # ----- labeled rebuild: raw edge masks, then orbit collapse -----
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
 def labeled_connected_bipartite_masks(n: int) -> list[int]:
     """The connected bipartite edge masks on n labeled vertices, ascending.
 
-    Bit i of a mask is the i-th vertex pair in lexicographic order. A
-    depth-first search decides the pairs from the highest bit down, leaving
-    each pair out before putting it in, so masks come out in ascending
-    order. Each branch carries its components as pairs of color masks. An
-    edge inside one color class closes an odd cycle, and adding edges never
-    removes one, so that branch ends; an edge across two components merges
-    them with their colors aligned. Each edge joins at most two components,
-    so a branch with c components and fewer than c - 1 pairs left is
-    dropped, and every leaf reached is connected.
+    Bit i of a mask is the i-th vertex pair in lexicographic order, so pair
+    (u, v) is bit base[u] + v - u - 1. A depth-first search adds the
+    vertices from n - 1 down to 0, carrying the components so far as pairs
+    of color masks. Each vertex picks its neighbors above it, from each
+    component none, a nonempty submask of one color class, or one of the
+    other (an edge to both would close an odd cycle), and merges with the
+    components it picked. Vertex 0 must pick from every component, so every
+    leaf is connected and none is wasted. The leaves are sorted at the end.
     """
     if not 2 <= n <= 7:
         raise ValueError(f"labeled scan supports 2 <= n <= 7, got n={n}")
-    pairs = _pairs(n)
+    base = [u * (2 * n - u - 1) // 2 for u in range(n)]
     out = []
 
-    def side(comps, w):
-        # w's component, as (w's color class, the other class)
-        for a, b in comps:
-            if a >> w & 1:
-                return a, b
-            if b >> w & 1:
-                return b, a
+    def grow(u, mask, comps):
+        # (neighbors, u's color class, the other class, components left apart)
+        picks = [(0, 1 << u, 0, ())]
+        for comp in comps:
+            nxt = [] if u == 0 else [(nb, mine, other, rest + (comp,)) for nb, mine, other, rest in picks]
+            for side, far in (comp, comp[::-1]):
+                sub = side
+                while sub:
+                    nxt += [(nb | sub, mine | far, other | side, rest) for nb, mine, other, rest in picks]
+                    sub = (sub - 1) & side
+            picks = nxt
+        if u == 0:  # the leaves: vertex 0 joined every component
+            out.extend(mask | nb >> 1 for nb, _, _, _ in picks)
+            return
+        for nb, mine, other, rest in picks:
+            grow(u - 1, mask | nb >> (u + 1) << base[u], rest + ((mine, other),))
 
-    def grow(i, mask, comps):
-        # pairs 0..i-1 are undecided
-        if len(comps) - 1 > i:
-            return
-        if i == 0:
-            out.append(mask)  # one component: the check above let no other through
-            return
-        i -= 1
-        grow(i, mask, comps)
-        u, v = pairs[i]
-        (cu, ou), (cv, ov) = side(comps, u), side(comps, v)
-        if cu == cv:  # u and v share a color: an odd cycle
-            return
-        if cu == ov:  # already one component
-            grow(i, mask | 1 << i, comps)
-            return
-        both = 1 << u | 1 << v
-        rest = tuple(c for c in comps if not (c[0] | c[1]) & both)
-        grow(i, mask | 1 << i, rest + ((cu | ov, ou | cv),))
+    grow(n - 1, 0, ())
+    return sorted(out)
 
-    grow(len(pairs), 0, tuple((1 << v, 0) for v in range(n)))
-    return out
+
+def _transposition_swaps(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """For each i < n - 1, the delta swaps that relabel a pair mask by (i i+1).
+
+    A (shift, low) step swaps each bit in low with the bit shift above it:
+    (u, i) with (u, i + 1) for u < i, one bit apart, then (i, v) with
+    (i + 1, v) for v > i + 1, n - i - 2 bits apart.
+    """
+    base = [u * (2 * n - u - 1) // 2 for u in range(n)]
+    swaps = []
+    for i in range(n - 1):
+        cols = sum(1 << base[u] + i - u - 1 for u in range(i))
+        rows = sum(1 << base[i] + v - i - 1 for v in range(i + 2, n))
+        swaps.append(tuple((d, low) for d, low in ((1, cols), (n - i - 2, rows)) if low))
+    return swaps
+
+
+def _plain_changes(n: int) -> list[int]:
+    """Johnson-Trotter: n! - 1 swaps of places (i, i+1) visiting every order once.
+
+    Item m - 1 sweeps left and right in turn across the orders of items
+    0..m-2, whose own swaps run between sweeps, one place right after a left sweep.
+    """
+    walk: list[int] = []
+    for m in range(2, n + 1):
+        sweep = list(range(m - 2, -1, -1))  # item m - 1 from the last place to the first
+        nxt = sweep[:]
+        for j, i in enumerate(walk):
+            nxt += [i + 1 - j % 2] + (sweep[::-1] if j % 2 == 0 else sweep)
+        walk = nxt
+    return walk
 
 
 def labeled_class_certificates(n: int) -> frozenset[bytes]:
     """Certificates of all connected bipartite classes, the labeled way.
 
-    Scans the edge masks, then collapses isomorphism orbits by discarding
-    each survivor's images under all n! vertex permutations; one
-    certificate per orbit. Independent of the structured enumeration.
+    Scans the edge masks, then certifies one survivor per orbit and walks
+    the orbit, discarding each image: the plain-changes swaps, applied as
+    vertex transpositions, reach all n! relabelings of the survivor.
+    Independent of the structured enumeration.
     """
     if n == 1:
         return frozenset({certificate(new_graph(1))})
-    pairs = _pairs(n)
-    nbits = len(pairs)
+    pairs = list(combinations(range(n), 2))
     survivors = set(labeled_connected_bipartite_masks(n))
-    index_of = {p: i for i, p in enumerate(pairs)}
-    perm_maps = []
-    for p in permutations(range(n)):
-        perm_maps.append(
-            tuple(
-                index_of[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])]
-                for u, v in pairs
-            )
-        )
+    swaps = _transposition_swaps(n)
+    walk = [swaps[i] for i in _plain_changes(n)]
     certs = set()
     while survivors:
         mask = survivors.pop()
-        edges = [pairs[i] for i in range(nbits) if mask >> i & 1]
-        certs.add(certificate(new_graph(n, edges)))
-        for pm in perm_maps:
-            image = 0
-            m = mask
-            while m:
-                low = m & -m
-                image |= 1 << pm[low.bit_length() - 1]
-                m ^= low
-            survivors.discard(image)
+        certs.add(certificate(new_graph(n, [pairs[i] for i in _bits(mask)])))
+        for steps in walk:
+            for d, low in steps:
+                t = (mask ^ mask >> d) & low
+                mask ^= t | t << d
+            survivors.discard(mask)
     return frozenset(certs)

@@ -11,15 +11,22 @@ before it packed every permutation's sums into one integer: each prefix
 carries a list of per-permutation sums and compares their maximum with the
 identity's. Both searches visit the same prefixes in the same order, so
 they must yield the same graphs in the same order.
+
+labeled_connected_bipartite_masks and labeled_class_certificates are the
+labeled path that bindex ran before its vertex-by-vertex scan and its orbit
+walk by adjacent transpositions: a search that decides the vertex pairs
+edge by edge, then a collapse that applies all n! vertex permutations to
+each survivor bit by bit. The scans must return the same list, and the
+collapses the same certificate set.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import add
 from typing import Iterator
 
-from bindex.graphs import Graph, _graph6, is_connected
+from bindex.graphs import Graph, _graph6, certificate, is_connected, new_graph
 
 
 def canonical_columns(g: Graph) -> list[int]:
@@ -135,3 +142,94 @@ def classes_with_parts(s: int, t: int) -> Iterator[Graph]:
                 yield g
 
     yield from grow((), [0] * len(weight[0]), 1)
+
+
+def _pairs(n: int) -> list[tuple[int, int]]:
+    return list(combinations(range(n), 2))
+
+
+def labeled_connected_bipartite_masks(n: int) -> list[int]:
+    """The connected bipartite edge masks on n labeled vertices, ascending.
+
+    Bit i of a mask is the i-th vertex pair in lexicographic order. A
+    depth-first search decides the pairs from the highest bit down, leaving
+    each pair out before putting it in, so masks come out in ascending
+    order. Each branch carries its components as pairs of color masks. An
+    edge inside one color class closes an odd cycle, and adding edges never
+    removes one, so that branch ends; an edge across two components merges
+    them with their colors aligned. Each edge joins at most two components,
+    so a branch with c components and fewer than c - 1 pairs left is
+    dropped, and every leaf reached is connected.
+    """
+    if not 2 <= n <= 7:
+        raise ValueError(f"labeled scan supports 2 <= n <= 7, got n={n}")
+    pairs = _pairs(n)
+    out = []
+
+    def side(comps, w):
+        # w's component, as (w's color class, the other class)
+        for a, b in comps:
+            if a >> w & 1:
+                return a, b
+            if b >> w & 1:
+                return b, a
+
+    def grow(i, mask, comps):
+        # pairs 0..i-1 are undecided
+        if len(comps) - 1 > i:
+            return
+        if i == 0:
+            out.append(mask)  # one component: the check above let no other through
+            return
+        i -= 1
+        grow(i, mask, comps)
+        u, v = pairs[i]
+        (cu, ou), (cv, ov) = side(comps, u), side(comps, v)
+        if cu == cv:  # u and v share a color: an odd cycle
+            return
+        if cu == ov:  # already one component
+            grow(i, mask | 1 << i, comps)
+            return
+        both = 1 << u | 1 << v
+        rest = tuple(c for c in comps if not (c[0] | c[1]) & both)
+        grow(i, mask | 1 << i, rest + ((cu | ov, ou | cv),))
+
+    grow(len(pairs), 0, tuple((1 << v, 0) for v in range(n)))
+    return out
+
+
+def labeled_class_certificates(n: int) -> frozenset[bytes]:
+    """Certificates of all connected bipartite classes, the labeled way.
+
+    Scans the edge masks, then collapses isomorphism orbits by discarding
+    each survivor's images under all n! vertex permutations; one
+    certificate per orbit. Independent of the structured enumeration.
+    """
+    if n == 1:
+        return frozenset({certificate(new_graph(1))})
+    pairs = _pairs(n)
+    nbits = len(pairs)
+    survivors = set(labeled_connected_bipartite_masks(n))
+    index_of = {p: i for i, p in enumerate(pairs)}
+    perm_maps = []
+    for p in permutations(range(n)):
+        perm_maps.append(
+            tuple(
+                index_of[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])]
+                for u, v in pairs
+            )
+        )
+    certs = set()
+    while survivors:
+        mask = survivors.pop()
+        edges = [pairs[i] for i in range(nbits) if mask >> i & 1]
+        certs.add(certificate(new_graph(n, edges)))
+        for pm in perm_maps:
+            image = 0
+            m = mask
+            while m:
+                low = m & -m
+                image |= 1 << pm[low.bit_length() - 1]
+                m ^= low
+            survivors.discard(image)
+    return frozenset(certs)

@@ -483,6 +483,36 @@ def test_probe_shift_within_rejects_others_on_donor_or_receiver(others, message)
     )
 
 
+def test_probe_shift_within_rejects_a_vertex_named_twice():
+    res = run("probe", "shift-within", "--s", "3", "--t", "3", "--others", "2:1,2:4")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
+        "Try 'bindex probe --help' for help.\n"
+        "\n"
+        "Error: --others names vertex 2 twice\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--donor", "4", "--others", "2:1"], "--donor or --others"),
+        (["--receiver", "1"], "--receiver"),  # the default value, given on purpose
+        (["--others", ""], "--others"),
+    ],
+)
+def test_probe_shift_across_rejects_shift_within_options(extra, named):
+    res = run("probe", "shift-across", "--s", "2", "--t", "3", *extra)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
+        "Try 'bindex probe --help' for help.\n"
+        "\n"
+        f"Error: shift-across takes no {named} (shift-within only)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -14,6 +14,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bindex import oracle
 from bindex.constructors import (
@@ -358,7 +360,7 @@ def test_labeled_scan_counts():
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_labeled_scan_matches_per_mask_filter(n):
-    """The edge-by-edge search keeps exactly what a plain filter keeps, in order.
+    """The vertex-by-vertex search keeps exactly what a plain filter keeps, in order.
 
     Bit i of a mask is the i-th vertex pair in lexicographic order. n = 7
     has 2^21 masks, too many to filter here; its output is pinned below.
@@ -384,3 +386,67 @@ def test_labeled_classes_agree_with_generator():
         labeled = labeled_class_certificates(n)
         generated = {certificate(g) for g in enumerate_connected_bipartite(n)}
         assert labeled == generated, n
+
+
+def test_labeled_path_matches_the_reference_path():
+    for n in range(2, 8):
+        assert labeled_connected_bipartite_masks(n) == reference.labeled_connected_bipartite_masks(n), n
+    for n in range(1, 8):
+        assert labeled_class_certificates(n) == reference.labeled_class_certificates(n), n
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_plain_changes_visit_every_order_once(n):
+    walk = oracle._plain_changes(n)
+    order = list(range(n))
+    seen = {tuple(order)}
+    for i in walk:
+        order[i], order[i + 1] = order[i + 1], order[i]
+        seen.add(tuple(order))
+    assert len(walk) + 1 == len(seen) == len(list(permutations(range(n))))
+
+
+def _swapped(steps, mask):
+    for d, low in steps:
+        t = (mask ^ mask >> d) & low
+        mask ^= t | t << d
+    return mask
+
+
+def _relabeled(n, mask, i):
+    # the pair mask of new_graph with vertices i and i + 1 exchanged
+    pairs = list(combinations(range(n), 2))
+    swap = {i: i + 1, i + 1: i}
+    g = new_graph(n, [(swap.get(u, u), swap.get(v, v)) for b, (u, v) in enumerate(pairs) if mask >> b & 1])
+    return sum(1 << b for b, (u, v) in enumerate(pairs) if g.has_edge(u, v))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_delta_swaps_relabel_every_mask(n):
+    swaps = oracle._transposition_swaps(n)
+    assert len(swaps) == n - 1
+    for mask in range(1 << n * (n - 1) // 2):
+        for i, steps in enumerate(swaps):
+            assert _swapped(steps, mask) == _relabeled(n, mask, i), (mask, i)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(0, (1 << 21) - 1), st.integers(0, 5))
+def test_delta_swaps_relabel_masks_at_n7(mask, i):
+    assert _swapped(oracle._transposition_swaps(7)[i], mask) == _relabeled(7, mask, i)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_orbit_walk_certifies_each_class_once(monkeypatch, n):
+    # a walk that missed some permutations would leave images behind, and
+    # certify them too: the certificate set alone would not show it
+    real = oracle.certificate
+    calls = []
+
+    def spy(g, *args, **kwargs):
+        calls.append(g)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "certificate", spy)
+    certs = labeled_class_certificates(n)
+    assert len(calls) == len(certs) == CLASS_COUNTS[n - 1]
