@@ -347,6 +347,17 @@ def _delta_rows(before, after, expected=EDGE_ADDITION_SIGNS) -> tuple[list[dict]
     return rows, all(row["ok"] == "yes" for row in rows)
 
 
+# the options each probe kind reads; --seed only seeds add-edge's --samples,
+# and --strict and --format belong to every kind
+_PROBE_OPTIONS = {
+    "add-edge": {"g6", "samples", "seed"},
+    "contract": {"g6", "u", "w"},
+    "shift-within": {"s", "t", "a_count", "b_count", "donor", "receiver", "others"},
+    "shift-across": {"s", "t", "a_count", "b_count"},
+}
+_PROBE_KIND_OPTIONS = set().union(*_PROBE_OPTIONS.values())
+
+
 @cli.command("probe")
 @click.argument(
     "kind", type=click.Choice(["add-edge", "contract", "shift-within", "shift-across"])
@@ -355,7 +366,7 @@ def _delta_rows(before, after, expected=EDGE_ADDITION_SIGNS) -> tuple[list[dict]
 @click.option("--u", type=int, help="cut edge endpoint (contract)")
 @click.option("--w", type=int, help="cut edge endpoint (contract)")
 @click.option("--samples", type=int, default=None, help="absent edges to sample (add-edge); default all")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=0, show_default=True, help="sampling seed (add-edge)")
 @click.option("--s", type=int, help="core part sizes (shifts)")
 @click.option("--t", type=int)
 @click.option("--a", "a_count", type=int, default=1, show_default=True, help="pendants on the donor / small-part vertex")
@@ -375,6 +386,16 @@ def cmd_probe(
     shift-within / shift-across: pendant moves on a decorated complete
     bipartite core, each index checked against an exact delta or a sign.
     """
+    ctx = click.get_current_context()
+    foreign = [
+        p for p in ctx.command.params
+        if p.name in _PROBE_KIND_OPTIONS and p.name not in _PROBE_OPTIONS[kind]
+        and ctx.get_parameter_source(p.name) is not click.core.ParameterSource.DEFAULT
+    ]
+    if foreign:
+        owners = [k for k, names in _PROBE_OPTIONS.items() if any(p.name in names for p in foreign)]
+        flags = " or ".join(p.opts[0] for p in foreign)
+        raise click.UsageError(f"{kind} takes no {flags} ({' and '.join(owners)} only)")
     if kind == "add-edge":
         if not g6:
             raise click.UsageError("add-edge needs --g6")
@@ -409,10 +430,6 @@ def cmd_probe(
         prediction = shift_pendants_within_part(core, donor, receiver)
         rows, ok = _delta_rows(realize(core), realize(prediction.shifted), prediction.expected)
     else:
-        source = click.get_current_context().get_parameter_source
-        given = [f"--{name}" for name in ("donor", "receiver", "others") if source(name) is not click.core.ParameterSource.DEFAULT]
-        if given:
-            raise click.UsageError(f"shift-across takes no {' or '.join(given)} (shift-within only)")
         if s is None or t is None:
             raise click.UsageError("shift-across needs --s and --t")
         core = DecoratedCore.make(s, t, {0: a_count, s: b_count})

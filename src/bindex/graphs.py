@@ -11,11 +11,14 @@ all 730 classes at n = 9 in about 0.1 s of CPU.
 Breadth-first search is one primitive, layers(), which yields the BFS
 layers from one root as vertex masks. Distances, connectivity, bipartitions
 by level parity and the shores of a cut edge are all built on it; only one
-hot loop elsewhere stays inline, indices._profile, with a comment saying why.
+hot loop elsewhere stays inline, indices._profile, which expands one vertex
+per twin class and takes each layer top-down or bottom-up, whichever tests
+fewer vertices.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 UNREACHABLE = -1
@@ -23,6 +26,8 @@ UNREACHABLE = -1
 # graph6 sizes: one byte up to 62 vertices, '~' + 3 bytes up to 258047.
 _G6_SMALL_MAX = 62
 _G6_LONG_MAX = 258047
+_G6_BAD = re.compile("[^?-~]")  # a byte outside graph6's range 63..126
+_G6_SIX = {c: format(c - 63, "06b") for c in range(63, 127)}  # byte -> its six bits
 
 
 def _bits(mask: int):
@@ -318,16 +323,19 @@ def graph6_decode(text: str | bytes) -> Graph:
     """Decode one graph6 line; errors report the offending byte offset.
 
     Bytes are read one character per byte, so an error names the raw byte;
-    only ASCII whitespace is stripped, and offsets count after it.
+    only ASCII whitespace is stripped, and offsets count after it. One regex
+    scan checks every byte, str.translate expands the body six bits a byte,
+    and the adjacency rows come from an n x n square of those bits: row v
+    holds v's pairs with u < v, and its column v holds those with u > v.
     """
     if isinstance(text, bytes):
         text = text.decode("latin-1")
     s = text.strip(" \t\n\r\v\f")  # what bytes.strip() removes
     if not s:
         raise ValueError("empty graph6 string")
-    for off, ch in enumerate(s):
-        if not 63 <= ord(ch) <= 126:
-            raise ValueError(f"invalid graph6 byte {ord(ch):#04x} at offset {off}")
+    bad = _G6_BAD.search(s)
+    if bad:
+        raise ValueError(f"invalid graph6 byte {ord(bad.group()):#04x} at offset {bad.start()}")
     if s.startswith("~~"):
         raise ValueError("invalid graph6 byte 0x7e at offset 1: 8-byte sizes unsupported")
     start = 4 if s[0] == "~" else 1  # offset of the first body byte
@@ -346,15 +354,11 @@ def graph6_decode(text: str | bytes) -> Graph:
         raise ValueError(
             f"graph6 body length {len(body)} != {need} for n={n} (offset {off})"
         )
-    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    bits = body.translate(_G6_SIX)
     if "1" in bits[size:]:
         raise ValueError(f"nonzero graph6 padding at offset {start + need - 1}")
-    adj = [0] * n
-    i = 0
-    for v in range(1, n):
-        col = int(bits[i : i + v][::-1], 2)  # bit u: edge (u, v)
-        i += v
-        adj[v] |= col
-        for u in _bits(col):
-            adj[u] |= 1 << v
+    # column v of the upper triangle, bit u at index u, is row v of the square
+    rows = [bits[v * (v - 1) // 2 : v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
+    square = "".join(rows)
+    adj = (int(rows[u][::-1], 2) | int(square[u::n][::-1], 2) for u in range(n))
     return Graph(n, tuple(adj))

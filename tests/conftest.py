@@ -1,4 +1,5 @@
-"""Shared helpers: seeded random graph generators used across test modules."""
+"""Shared helpers: seeded random graph generators and an outcome wrapper used
+across test modules."""
 
 from __future__ import annotations
 
@@ -29,6 +30,14 @@ def random_connected_bipartite(rng: random.Random, lo: int = 4, hi: int = 10) ->
     for u, v in extra[: rng.randint(0, len(extra))]:
         g = add_edge(g, u, v)
     return g
+
+
+def outcome(fn, arg):
+    """fn(arg), or the text of the ValueError it raised."""
+    try:
+        return fn(arg)
+    except ValueError as e:
+        return ("ValueError", str(e))
 
 
 def random_bridge_context(rng: random.Random) -> CutEdgeContext:

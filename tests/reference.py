@@ -18,6 +18,11 @@ walk by adjacent transpositions: a search that decides the vertex pairs
 edge by edge, then a collapse that applies all n! vertex permutations to
 each survivor bit by bit. The scans must return the same list, and the
 collapses the same certificate set.
+
+graph6_decode is the decoder bindex ran before its regex scan and its
+table-driven body: it checks each byte in a Python loop, formats each body
+byte into six bits, and sets both ends of every edge bit by bit. Both must
+return the same Graph, or raise ValueError with the same text, on any input.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from itertools import combinations, permutations
 from operator import add
 from typing import Iterator
 
-from bindex.graphs import Graph, _graph6, certificate, is_connected, new_graph
+from bindex.graphs import Graph, _bits, _graph6, certificate, is_connected, new_graph
 
 
 def canonical_columns(g: Graph) -> list[int]:
@@ -233,3 +238,49 @@ def labeled_class_certificates(n: int) -> frozenset[bytes]:
                 m ^= low
             survivors.discard(image)
     return frozenset(certs)
+
+
+def graph6_decode(text: str | bytes) -> Graph:
+    """Decode one graph6 line; errors report the offending byte offset.
+
+    Bytes are read one character per byte, so an error names the raw byte;
+    only ASCII whitespace is stripped, and offsets count after it.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("latin-1")
+    s = text.strip(" \t\n\r\v\f")  # what bytes.strip() removes
+    if not s:
+        raise ValueError("empty graph6 string")
+    for off, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"invalid graph6 byte {ord(ch):#04x} at offset {off}")
+    if s.startswith("~~"):
+        raise ValueError("invalid graph6 byte 0x7e at offset 1: 8-byte sizes unsupported")
+    start = 4 if s[0] == "~" else 1  # offset of the first body byte
+    if len(s) < start:
+        raise ValueError(f"truncated graph6 size block at offset {len(s)}")
+    n = 0
+    for ch in s[1:4] if start == 4 else s[0]:
+        n = n << 6 | (ord(ch) - 63)
+    if n < 1:
+        raise ValueError("invalid graph6 byte 0x3f at offset 0: empty graph")
+    body = s[start:]
+    size = n * (n - 1) // 2
+    need = (size + 5) // 6
+    if len(body) != need:
+        off = start + min(len(body), need)
+        raise ValueError(
+            f"graph6 body length {len(body)} != {need} for n={n} (offset {off})"
+        )
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[size:]:
+        raise ValueError(f"nonzero graph6 padding at offset {start + need - 1}")
+    adj = [0] * n
+    i = 0
+    for v in range(1, n):
+        col = int(bits[i : i + v][::-1], 2)  # bit u: edge (u, v)
+        i += v
+        adj[v] |= col
+        for u in _bits(col):
+            adj[u] |= 1 << v
+    return Graph(n, tuple(adj))

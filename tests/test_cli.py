@@ -516,6 +516,31 @@ def test_probe_shift_across_rejects_shift_within_options(extra, named):
 @pytest.mark.parametrize(
     "args, message",
     [
+        (["add-edge", "--g6", "Ch", "--s", "3", "--a", "5"],
+         "add-edge takes no --s or --a (shift-within and shift-across only)"),
+        (["contract", "--g6", "Ch", "--u", "1", "--w", "2", "--samples", "3"],
+         "contract takes no --samples (add-edge only)"),
+        (["shift-across", "--s", "2", "--t", "3", "--g6", "Ch"],
+         "shift-across takes no --g6 (add-edge and contract only)"),
+        (["shift-within", "--s", "3", "--t", "3", "--seed", "0"],  # the default value
+         "shift-within takes no --seed (add-edge only)"),
+    ],
+    ids=["add-edge", "contract", "shift-across", "shift-within"],
+)
+def test_probe_rejects_options_of_another_kind(args, message):
+    res = run("probe", *args)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
+        "Try 'bindex probe --help' for help.\n"
+        "\n"
+        f"Error: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
         (["shift-within", "--s", "1", "--t", "3"],
          "within-part shift needs both core parts of size >= 2"),
         (["shift-across", "--s", "3", "--t", "2"],

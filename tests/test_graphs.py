@@ -22,7 +22,8 @@ from bindex.graphs import (
     new_graph,
     relabel,
 )
-from conftest import random_connected_bipartite, scrambled
+from conftest import outcome, random_connected_bipartite, scrambled
+from reference import graph6_decode as reference_graph6_decode
 from reference import reference_certificate
 
 
@@ -147,10 +148,50 @@ def any_graphs(draw, max_n=100):
 @example(path(62))  # the largest order with a one-byte header
 @example(path(63))  # the smallest with the '~' header
 @example(new_graph(63, [(u, v) for v in range(63) for u in range(v)]))
+@example(new_graph(1))
 def test_graph6_round_trip_any_graph(g):
     enc = graph6_encode(g)
     assert enc.startswith("~") == (g.n > 62)
-    assert graph6_decode(enc) == g
+    assert graph6_decode(enc) == reference_graph6_decode(enc) == g
+    assert graph6_decode(enc.encode("ascii") + b"\n") == g
+
+
+@st.composite
+def damaged_encodings(draw):
+    """A valid graph6 line cut short, with one byte replaced, or with random
+    bits set in its last byte, where any padding bits are."""
+    enc = graph6_encode(draw(any_graphs(max_n=20))).encode("ascii")
+    at = draw(st.integers(0, len(enc)))
+    how = draw(st.sampled_from(["cut", "replace", "pad"]))
+    if how == "cut":
+        return enc[:at]
+    if how == "replace":
+        return enc[:at] + bytes([draw(st.integers(0, 255))]) + enc[at + 1 :]
+    return enc[:-1] + bytes([63 + ((enc[-1] - 63) | draw(st.integers(0, 63)))])
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.binary(max_size=30),
+        # mostly graph6 bytes, so the size, length and padding checks run
+        st.lists(st.one_of(st.integers(63, 126), st.integers(0, 255)), max_size=30).map(bytes),
+        damaged_encodings(),
+        st.text(max_size=12),  # str input, code points past 0xff included
+    )
+)
+@example(b"")
+@example(b" \t\r\n")
+@example(b"A@")  # nonzero padding
+@example(b"AO")  # only the first padding bit set
+@example(b"~~??????")
+@example(b"~??")
+@example(b"?")
+@example(b"A??")
+@example(b"DhC\xa0")
+@example("F\u4e00")
+def test_graph6_decode_matches_reference_on_any_input(data):
+    assert outcome(graph6_decode, data) == outcome(reference_graph6_decode, data)
 
 
 def complete(n):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from bindex.constructors import BkSpec, b_graph, star
 from bindex.indices import IndexKind, _profile, all_indices, cei_by_edges, compute, eds_by_pairs
 from bindex.graphs import UNREACHABLE, distances_from, is_connected, new_graph
 from bindex.oracle import enumerate_connected_bipartite
+from conftest import outcome, random_connected_bipartite
 
 F = Fraction
 W, WW, H, CEI, EDS = IndexKind
@@ -145,13 +147,6 @@ def indices_from_rows(rows):
     }
 
 
-def outcome(fn, g):
-    try:
-        return fn(g)
-    except ValueError as e:
-        return ("ValueError", str(e))
-
-
 def test_profile_matches_per_source_bfs_on_every_class():
     for n in range(1, 9):
         for g in enumerate_connected_bipartite(n):
@@ -159,6 +154,45 @@ def test_profile_matches_per_source_bfs_on_every_class():
             assert per_vertex_profile(g) == reference
             if n > 1:
                 assert all_indices(g) == indices_from_rows(reference)
+
+
+def test_profile_matches_per_source_bfs_on_twin_poor_graphs():
+    # 20 to 60 vertices, few twins, dense to sparse: the frontier soon
+    # outgrows the unseen rest, so the profile takes the bottom-up step
+    rng = random.Random(15)
+    for _ in range(30):
+        g = random_connected_bipartite(rng, 20, 60)
+        reference = per_source_profile(g)
+        assert per_vertex_profile(g) == reference
+        assert all_indices(g) == indices_from_rows(reference)
+        # the same graph beside a copy of itself: disconnected, both must say so
+        twice = new_graph(2 * g.n, g.edges() + tuple((u + g.n, v + g.n) for u, v in g.edges()))
+        assert outcome(per_vertex_profile, twice) == outcome(per_source_profile, twice)
+        assert outcome(per_vertex_profile, twice)[0] == "ValueError"
+
+
+def random_tree(rng, n):
+    return new_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def caterpillar(spine, legs):
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i % spine, spine + i) for i in range(legs)]
+    return new_graph(spine + legs, edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [path(2), path(3), path(61), path(200), caterpillar(40, 80)]
+    + [random_tree(random.Random(seed), 30 + 40 * seed) for seed in range(4)],
+    ids=["P2", "P3", "P61", "P200", "caterpillar"] + [f"tree{seed}" for seed in range(4)],
+)
+def test_profile_matches_per_source_bfs_on_paths_and_trees(g):
+    # thin frontiers and many unseen vertices: the top-down step wins on
+    # nearly every layer, the bottom-up one only at the very end
+    reference = per_source_profile(g)
+    assert per_vertex_profile(g) == reference
+    assert all_indices(g) == indices_from_rows(reference)
 
 
 @st.composite
