@@ -32,10 +32,8 @@ from .extremal import (
     star_value,
 )
 from .graphs import (
-    Bipartition,
     Graph,
     add_edge,
-    bipartition,
     bridges,
     certificate,
     distances_from,
@@ -43,7 +41,6 @@ from .graphs import (
     graph6_encode,
     is_connected,
     new_graph,
-    relabel,
 )
 from .indices import IndexKind, all_indices, compute
 from .oracle import (
@@ -61,7 +58,6 @@ from .transforms import (
     ShiftPrediction,
     contract_bridge,
     cut_edge_context,
-    index_deltas,
     monotonicity_probe,
     shift_pendants_across_parts,
     shift_pendants_within_part,
@@ -71,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BkSpec",
-    "Bipartition",
     "BoundResult",
     "CaseLabel",
     "CaseRow",
@@ -88,7 +83,6 @@ __all__ = [
     "admissible_x",
     "all_indices",
     "b_graph",
-    "bipartition",
     "bridges",
     "case_table",
     "certificate",
@@ -104,7 +98,6 @@ __all__ = [
     "filter_by_cut_edges",
     "graph6_decode",
     "graph6_encode",
-    "index_deltas",
     "is_connected",
     "labeled_class_certificates",
     "monotonicity_probe",
@@ -112,7 +105,6 @@ __all__ = [
     "optimize",
     "realize",
     "reconcile",
-    "relabel",
     "shift_pendants_across_parts",
     "shift_pendants_within_part",
     "star",

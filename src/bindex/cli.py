@@ -153,6 +153,25 @@ def _index_rows(lines: Iterable[bytes], kinds: list[IndexKind], columns: list[st
         yield row
 
 
+def _reject_foreign_options(kind: str, table: dict[str, set[str]]) -> None:
+    """Usage error naming each option given that table assigns to other kinds only."""
+    ctx = click.get_current_context()
+    owned = set().union(*table.values())
+    foreign = [
+        p for p in ctx.command.params
+        if p.name in owned and p.name not in table[kind]
+        and ctx.get_parameter_source(p.name) is not click.core.ParameterSource.DEFAULT
+    ]
+    if foreign:
+        owners = [k for k, names in table.items() if any(p.name in names for p in foreign)]
+        flags = " or ".join(p.opts[0] for p in foreign)
+        raise click.UsageError(f"{kind} takes no {flags} ({' and '.join(owners)} only)")
+
+
+# the options each construct family reads
+_CONSTRUCT_OPTIONS = {"star": {"n"}, "kst": {"s", "t"}, "bk": {"n", "k", "x"}}
+
+
 @cli.command("construct")
 @click.argument("family", type=click.Choice(["star", "kst", "bk"]))
 @click.option("--n", type=int, help="vertex count (star, bk)")
@@ -162,6 +181,7 @@ def _index_rows(lines: Iterable[bytes], kinds: list[IndexKind], columns: list[st
 @click.option("--x", type=int, help="small part size (bk); defaults to 1 when k = n-1")
 def cmd_construct(family: str, n, s, t, k, x) -> None:
     """Emit one reference graph as a graph6 line."""
+    _reject_foreign_options(family, _CONSTRUCT_OPTIONS)
     if family == "star":
         if n is None:
             raise click.UsageError("star needs --n")
@@ -355,7 +375,6 @@ _PROBE_OPTIONS = {
     "shift-within": {"s", "t", "a_count", "b_count", "donor", "receiver", "others"},
     "shift-across": {"s", "t", "a_count", "b_count"},
 }
-_PROBE_KIND_OPTIONS = set().union(*_PROBE_OPTIONS.values())
 
 
 @cli.command("probe")
@@ -386,16 +405,7 @@ def cmd_probe(
     shift-within / shift-across: pendant moves on a decorated complete
     bipartite core, each index checked against an exact delta or a sign.
     """
-    ctx = click.get_current_context()
-    foreign = [
-        p for p in ctx.command.params
-        if p.name in _PROBE_KIND_OPTIONS and p.name not in _PROBE_OPTIONS[kind]
-        and ctx.get_parameter_source(p.name) is not click.core.ParameterSource.DEFAULT
-    ]
-    if foreign:
-        owners = [k for k, names in _PROBE_OPTIONS.items() if any(p.name in names for p in foreign)]
-        flags = " or ".join(p.opts[0] for p in foreign)
-        raise click.UsageError(f"{kind} takes no {flags} ({' and '.join(owners)} only)")
+    _reject_foreign_options(kind, _PROBE_OPTIONS)
     if kind == "add-edge":
         if not g6:
             raise click.UsageError("add-edge needs --g6")

@@ -67,15 +67,6 @@ class DecoratedCore:
             pendants[vertex] = count
         return cls(s, t, tuple(pendants))
 
-    @property
-    def order(self) -> int:
-        return self.s + self.t + sum(self.pendants)
-
-    def pendant_labels(self, vertex: int) -> tuple[int, ...]:
-        """Labels of the pendants hanging on a core vertex."""
-        base = self.s + self.t + sum(self.pendants[:vertex])
-        return tuple(range(base, base + self.pendants[vertex]))
-
 
 def realize(core: DecoratedCore) -> Graph:
     """Build the graph of a decorated core under the fixed labeling.

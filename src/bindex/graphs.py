@@ -3,17 +3,17 @@
 Vertices are dense integers 0..n-1. Adjacency is one Python int bitmask per
 vertex, so there is no hard size cap; masks stay fast at the sizes this
 package works with (n up to a few hundred). Everything here is deterministic
-and side-effect free: distance rows, cut edges, bipartitions, canonical
-certificates and the graph6 interchange format. A certificate is the minimal
-adjacency string, written as graph6; a search by ordered cells finds it for
-all 730 classes at n = 9 in about 0.1 s of CPU.
+and side-effect free: distance rows, cut edges, canonical certificates and
+the graph6 interchange format. A certificate is the minimal adjacency
+string, written as graph6; a search by ordered cells finds it for all 730
+classes at n = 9 in about 0.1 s of CPU.
 
 Breadth-first search is one primitive, layers(), which yields the BFS
-layers from one root as vertex masks. Distances, connectivity, bipartitions
-by level parity and the shores of a cut edge are all built on it; only one
-hot loop elsewhere stays inline, indices._profile, which expands one vertex
-per twin class and takes each layer top-down or bottom-up, whichever tests
-fewer vertices.
+layers from one root as vertex masks. Distances, connectivity and the
+shores of a cut edge are all built on it; only one hot loop elsewhere
+stays inline, indices._profile, which expands one vertex per twin class
+and takes each layer top-down or bottom-up, whichever tests fewer
+vertices.
 """
 
 from __future__ import annotations
@@ -64,14 +64,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """The two color classes of a bipartite graph."""
-
-    part_x: frozenset[int]
-    part_y: frozenset[int]
 
 
 def _check_vertex(n: int, u: int) -> None:
@@ -180,32 +172,6 @@ def bridges(g: Graph) -> frozenset[tuple[int, int]]:
                     if low[v] > disc[parent]:
                         out.append((min(parent, v), max(parent, v)))
     return frozenset(out)
-
-
-def bipartition(g: Graph) -> Bipartition | None:
-    """Two-color g by BFS level parity per component; None if an odd cycle exists.
-
-    Each component's smallest vertex goes to part_x, so the split is
-    deterministic. For connected graphs it is the unique bipartition.
-    """
-    parts = [0, 0]
-    for root in range(g.n):
-        if (parts[0] | parts[1]) >> root & 1:
-            continue
-        for d, layer in enumerate(layers(g.adj, root)):
-            parts[d & 1] |= layer
-    # an edge inside one parity class closes an odd cycle
-    if any(g.adj[v] & part for part in parts for v in _bits(part)):
-        return None
-    part_x, part_y = (frozenset(_bits(part)) for part in parts)
-    return Bipartition(part_x, part_y)
-
-
-def relabel(g: Graph, mapping) -> Graph:
-    """Apply a vertex permutation given as mapping[old] = new."""
-    if sorted(mapping) != list(range(g.n)):
-        raise ValueError("mapping is not a permutation of the vertex set")
-    return new_graph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges()))
 
 
 def _canonical_columns(g: Graph) -> list[int]:
@@ -322,15 +288,16 @@ def graph6_encode(g: Graph) -> str:
 def graph6_decode(text: str | bytes) -> Graph:
     """Decode one graph6 line; errors report the offending byte offset.
 
-    Bytes are read one character per byte, so an error names the raw byte;
-    only ASCII whitespace is stripped, and offsets count after it. One regex
-    scan checks every byte, str.translate expands the body six bits a byte,
-    and the adjacency rows come from an n x n square of those bits: row v
-    holds v's pairs with u < v, and its column v holds those with u > v.
+    Text is encoded as UTF-8, each surrogate escape (an undecodable byte of
+    sys.argv) turned back into its byte, so an error names the raw byte and
+    offsets count bytes. Only ASCII whitespace is stripped, and offsets
+    count after it. One regex scan checks every byte, str.translate expands
+    the body six bits a byte, and the adjacency rows come from an n x n
+    square of those bits: row v holds v's pairs with u < v, and its column
+    v holds those with u > v.
     """
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
-    s = text.strip(" \t\n\r\v\f")  # what bytes.strip() removes
+    raw = text.encode("utf-8", "surrogateescape") if isinstance(text, str) else text
+    s = raw.decode("latin-1").strip(" \t\n\r\v\f")  # what bytes.strip() removes
     if not s:
         raise ValueError("empty graph6 string")
     bad = _G6_BAD.search(s)

@@ -26,7 +26,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import UNREACHABLE, Graph, distances_from
+from .graphs import Graph
+from .graphs import distances_from  # noqa: F401  benchmarks/spans.py wraps bindex.indices.distances_from
 
 
 class IndexKind(str, Enum):
@@ -50,10 +51,6 @@ class IndexKind(str, Enum):
         extremal graph minimizes them); the other two are bounded from above.
         """
         return "lower" if self.decreases_when_edges_added else "upper"
-
-    @property
-    def is_rational(self) -> bool:
-        return self in (IndexKind.H, IndexKind.CEI)
 
 
 def _profile(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
@@ -158,33 +155,3 @@ def all_indices(
 
 def compute(kind: IndexKind, g: Graph) -> int | Fraction:
     return all_indices(g, (kind,))[kind]
-
-
-def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
-    """A plain BFS distance row from every vertex, for the two forms below."""
-    rows = [distances_from(g, u) for u in range(g.n)]
-    if any(UNREACHABLE in row for row in rows):
-        raise ValueError("index undefined: graph is disconnected")
-    return rows
-
-
-def eds_by_pairs(g: Graph) -> int:
-    """EDS through its pair form: sum of (ecc(u) + ecc(v)) * d(u, v).
-
-    Slower than all_indices; kept as an identity cross-check that shares
-    no code with the profile.
-    """
-    rows = _distance_rows(g)
-    ecc = [max(row) for row in rows]
-    return sum(
-        (ecc[u] + ecc[v]) * rows[u][v] for u in range(g.n) for v in range(u + 1, g.n)
-    )
-
-
-def cei_by_edges(g: Graph) -> Fraction:
-    """CEI through its edge form: sum over edges of 1/ecc(u) + 1/ecc(v)."""
-    ecc = [max(row) for row in _distance_rows(g)]
-    total = Fraction(0)
-    for u, v in g.edges():
-        total += Fraction(1, ecc[u]) + Fraction(1, ecc[v])
-    return total

@@ -44,13 +44,6 @@ def holds(delta, want: Fraction | str) -> bool:
     return delta == want
 
 
-def index_deltas(before: Graph, after: Graph) -> dict[IndexKind, int | Fraction]:
-    """after minus before, per index."""
-    a = all_indices(before)
-    b = all_indices(after)
-    return {kind: b[kind] - a[kind] for kind in IndexKind}
-
-
 @dataclass(frozen=True, eq=False)
 class CutEdgeContext:
     """A cut edge (u, w) of a connected graph, with its two shores."""
@@ -113,9 +106,6 @@ class ShiftPrediction:
     core: DecoratedCore
     shifted: DecoratedCore
     expected: dict[IndexKind, Fraction | str]
-
-    def check(self, deltas: dict[IndexKind, int | Fraction]) -> bool:
-        return all(holds(deltas[kind], want) for kind, want in self.expected.items())
 
 
 def _part_of(core: DecoratedCore, vertex: int) -> int:

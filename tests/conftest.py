@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import random
 
-from bindex.graphs import Graph, add_edge, bipartition, new_graph, relabel
+from bindex.graphs import Graph, add_edge, new_graph
 from bindex.transforms import CutEdgeContext, cut_edge_context
+from reference import bipartition, relabel
 
 
 def random_connected_bipartite(rng: random.Random, lo: int = 4, hi: int = 10) -> Graph:

@@ -21,17 +21,54 @@ collapses the same certificate set.
 
 graph6_decode is the decoder bindex ran before its regex scan and its
 table-driven body: it checks each byte in a Python loop, formats each body
-byte into six bits, and sets both ends of every edge bit by bit. Both must
-return the same Graph, or raise ValueError with the same text, on any input.
+byte into six bits, and sets both ends of every edge bit by bit. Its front
+end is the library's (text is encoded as UTF-8, surrogate escapes back to
+their bytes), so both must return the same Graph, or raise ValueError with
+the same text, on any input.
+
+bipartition two-colors a graph by BFS level parity, component by component,
+and returns None on an odd cycle. It builds the random bipartite graphs the
+tests draw, and the networkx tests check it against networkx's own.
+
+relabel applies a vertex permutation through the edge list. The tests use
+it to scramble graphs whose certificates and indices must not change.
+
+eds_by_pairs and cei_by_edges are the pair form of EDS and the edge form of
+CEI, computed from a plain BFS distance row of every vertex (_distance_rows).
+They share no code with the twin-class profile of all_indices, so both
+identities must hold on every connected graph.
+
+index_deltas takes after minus before of every index with all_indices, and
+contract_holds checks such a delta map against a surgery's expectation map
+with transforms.holds: the exact value, or the sign, of every entry.
+
+decorated_core_graph builds a decorated core from its edge list under the
+fixed labeling (part X, then part Y, then each owner's pendants in owner
+order), which realize writes as masks directly; both must give equal graphs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, permutations
 from operator import add
 from typing import Iterator
 
-from bindex.graphs import Graph, _bits, _graph6, certificate, is_connected, new_graph
+from bindex.constructors import DecoratedCore
+from bindex.graphs import (
+    UNREACHABLE,
+    Graph,
+    _bits,
+    _graph6,
+    certificate,
+    distances_from,
+    is_connected,
+    layers,
+    new_graph,
+)
+from bindex.indices import IndexKind, all_indices
+from bindex.transforms import holds
 
 
 def canonical_columns(g: Graph) -> list[int]:
@@ -243,12 +280,12 @@ def labeled_class_certificates(n: int) -> frozenset[bytes]:
 def graph6_decode(text: str | bytes) -> Graph:
     """Decode one graph6 line; errors report the offending byte offset.
 
-    Bytes are read one character per byte, so an error names the raw byte;
-    only ASCII whitespace is stripped, and offsets count after it.
+    Text is encoded as UTF-8, surrogate escapes back to their bytes; bytes
+    are read one character per byte, so an error names the raw byte. Only
+    ASCII whitespace is stripped, and offsets count after it.
     """
-    if isinstance(text, bytes):
-        text = text.decode("latin-1")
-    s = text.strip(" \t\n\r\v\f")  # what bytes.strip() removes
+    raw = text.encode("utf-8", "surrogateescape") if isinstance(text, str) else text
+    s = raw.decode("latin-1").strip(" \t\n\r\v\f")  # what bytes.strip() removes
     if not s:
         raise ValueError("empty graph6 string")
     for off, ch in enumerate(s):
@@ -284,3 +321,88 @@ def graph6_decode(text: str | bytes) -> Graph:
         for u in _bits(col):
             adj[u] |= 1 << v
     return Graph(n, tuple(adj))
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """The two color classes of a bipartite graph."""
+
+    part_x: frozenset[int]
+    part_y: frozenset[int]
+
+
+def bipartition(g: Graph) -> Bipartition | None:
+    """Two-color g by BFS level parity per component; None if an odd cycle exists.
+
+    Each component's smallest vertex goes to part_x, so the split is
+    deterministic. For connected graphs it is the unique bipartition.
+    """
+    parts = [0, 0]
+    for root in range(g.n):
+        if (parts[0] | parts[1]) >> root & 1:
+            continue
+        for d, layer in enumerate(layers(g.adj, root)):
+            parts[d & 1] |= layer
+    # an edge inside one parity class closes an odd cycle
+    if any(g.adj[v] & part for part in parts for v in _bits(part)):
+        return None
+    part_x, part_y = (frozenset(_bits(part)) for part in parts)
+    return Bipartition(part_x, part_y)
+
+
+def relabel(g: Graph, mapping) -> Graph:
+    """Apply a vertex permutation given as mapping[old] = new."""
+    if sorted(mapping) != list(range(g.n)):
+        raise ValueError("mapping is not a permutation of the vertex set")
+    return new_graph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges()))
+
+
+def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
+    """A plain BFS distance row from every vertex, for the two forms below."""
+    rows = [distances_from(g, u) for u in range(g.n)]
+    if any(UNREACHABLE in row for row in rows):
+        raise ValueError("index undefined: graph is disconnected")
+    return rows
+
+
+def eds_by_pairs(g: Graph) -> int:
+    """EDS through its pair form: sum of (ecc(u) + ecc(v)) * d(u, v)."""
+    rows = _distance_rows(g)
+    ecc = [max(row) for row in rows]
+    return sum(
+        (ecc[u] + ecc[v]) * rows[u][v] for u in range(g.n) for v in range(u + 1, g.n)
+    )
+
+
+def cei_by_edges(g: Graph) -> Fraction:
+    """CEI through its edge form: sum over edges of 1/ecc(u) + 1/ecc(v)."""
+    ecc = [max(row) for row in _distance_rows(g)]
+    total = Fraction(0)
+    for u, v in g.edges():
+        total += Fraction(1, ecc[u]) + Fraction(1, ecc[v])
+    return total
+
+
+def index_deltas(before: Graph, after: Graph) -> dict[IndexKind, int | Fraction]:
+    """after minus before, per index."""
+    a = all_indices(before)
+    b = all_indices(after)
+    return {kind: b[kind] - a[kind] for kind in IndexKind}
+
+
+def contract_holds(
+    expected: dict[IndexKind, Fraction | str], deltas: dict[IndexKind, int | Fraction]
+) -> bool:
+    """Whether every delta meets its entry of a surgery's expectation map."""
+    return all(holds(deltas[kind], want) for kind, want in expected.items())
+
+
+def decorated_core_graph(core: DecoratedCore) -> Graph:
+    """K_{s,t} plus each core vertex's pendants, labeled in owner order after the core."""
+    s, t = core.s, core.t
+    edges = [(u, s + v) for u in range(s) for v in range(t)]
+    label = s + t
+    for owner, count in enumerate(core.pendants):
+        edges.extend((owner, p) for p in range(label, label + count))
+        label += count
+    return new_graph(label, edges)

@@ -24,12 +24,12 @@ from bindex.oracle import (
 )
 from bindex.transforms import (
     contract_bridge,
-    index_deltas,
     monotonicity_probe,
     shift_pendants_across_parts,
     shift_pendants_within_part,
 )
 from conftest import random_bridge_context, random_connected_bipartite
+from reference import index_deltas
 
 F = Fraction
 

@@ -162,6 +162,20 @@ def test_construct_families():
 def test_construct_usage_errors():
     assert run("construct", "star").returncode == 1
     assert run("construct", "bk", "--n", "8", "--k", "2").returncode == 1
+    # an option of another family is an error, not ignored
+    for args, message in [
+        (["star", "--n", "5", "--k", "2"], "star takes no --k (bk only)"),
+        (["kst", "--s", "2", "--t", "3", "--n", "9", "--x", "4"],
+         "kst takes no --n or --x (star and bk only)"),
+    ]:
+        res = run("construct", *args)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == (
+            "Usage: bindex construct [OPTIONS] {star|kst|bk}\n"
+            "Try 'bindex construct --help' for help.\n"
+            "\n"
+            f"Error: {message}\n"
+        )
 
 
 def test_construct_infeasible_exit_code():
@@ -405,6 +419,14 @@ def test_probe_add_edge_sampled():
             "--format", "csv")
     assert a.stdout == b.stdout
     assert len(parse_csv(a.stdout)) == 4
+
+
+def test_probe_g6_names_the_raw_argv_byte():
+    # a non-UTF-8 argv byte reaches Python as a surrogate escape; the error
+    # names the byte itself
+    res = run("probe", "add-edge", "--g6", b"F\xe9")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "error: invalid graph6 byte 0xe9 at offset 1\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

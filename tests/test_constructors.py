@@ -19,8 +19,9 @@ from bindex.constructors import (
     star,
 )
 from bindex.extremal import closed_form, optimize
-from bindex.graphs import bipartition, bridges, certificate, is_connected, new_graph
+from bindex.graphs import bridges, certificate, is_connected
 from bindex.indices import IndexKind, compute
+from reference import bipartition, decorated_core_graph
 
 
 def test_star_shape():
@@ -45,13 +46,12 @@ def test_complete_bipartite_shape():
 
 def test_decorated_core_make_and_realize():
     core = DecoratedCore.make(2, 3, {0: 2, 3: 1})
-    assert core.order == 2 + 3 + 3
     g = realize(core)
     assert is_connected(g)
-    assert g.n == core.order
+    assert g.n == 2 + 3 + 3
     # pendants are labeled after the 5 core vertices, grouped by owner
-    assert core.pendant_labels(0) == (5, 6)
-    assert core.pendant_labels(3) == (7,)
+    assert g.neighbors(0) == (2, 3, 4, 5, 6)
+    assert g.neighbors(3) == (0, 1, 7)
     assert g.degree(5) == 1 and g.has_edge(0, 5)
     assert g.degree(7) == 1 and g.has_edge(3, 7)
 
@@ -67,11 +67,7 @@ def decorated_cores(draw):
 @settings(max_examples=200, deadline=None, database=None)
 @given(decorated_cores())
 def test_realize_matches_edge_list_build(core):
-    s, t = core.s, core.t
-    edges = [(u, s + v) for u in range(s) for v in range(t)]
-    for vertex in range(s + t):
-        edges.extend((vertex, p) for p in core.pendant_labels(vertex))
-    assert realize(core) == new_graph(core.order, edges)
+    assert realize(core) == decorated_core_graph(core)
 
 
 def test_decorated_core_validation():

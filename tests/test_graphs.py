@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from bindex import graphs
 from bindex.graphs import (
     UNREACHABLE,
-    bipartition,
     bridges,
     certificate,
     distances_from,
@@ -20,11 +19,10 @@ from bindex.graphs import (
     graph6_encode,
     is_connected,
     new_graph,
-    relabel,
 )
 from conftest import outcome, random_connected_bipartite, scrambled
+from reference import bipartition, reference_certificate, relabel
 from reference import graph6_decode as reference_graph6_decode
-from reference import reference_certificate
 
 
 def path(n):
@@ -190,6 +188,7 @@ def damaged_encodings(draw):
 @example(b"A??")
 @example(b"DhC\xa0")
 @example("F\u4e00")
+@example("\ud800")  # a lone surrogate, which st.text() never draws
 def test_graph6_decode_matches_reference_on_any_input(data):
     assert outcome(graph6_decode, data) == outcome(reference_graph6_decode, data)
 
@@ -282,9 +281,18 @@ def test_graph6_decode_reads_bytes_and_names_the_raw_byte():
         # not ASCII whitespace: never stripped, so blamed as the byte it is
         (b"DhC\xa0", "invalid graph6 byte 0xa0 at offset 3"),
         ("DhC\x1f", "invalid graph6 byte 0x1f at offset 3"),
+        # text is read as its UTF-8 bytes, and offsets count bytes
+        ("F\u4e00", "invalid graph6 byte 0xe4 at offset 1"),
+        ("F\u00e9", "invalid graph6 byte 0xc3 at offset 1"),
+        ("DhC\u00a0", "invalid graph6 byte 0xc2 at offset 3"),
+        # a surrogate escape, as sys.argv carries an undecodable byte
+        ("F\udce9", "invalid graph6 byte 0xe9 at offset 1"),
     ]:
         with pytest.raises(ValueError, match=re.escape(msg)):
             graph6_decode(raw)
+    # any other lone surrogate has no bytes; the codec error is a ValueError
+    with pytest.raises(ValueError, match="surrogates not allowed"):
+        graph6_decode("\ud800")
 
 
 def test_known_graph6_form():

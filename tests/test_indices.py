@@ -10,10 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bindex.constructors import BkSpec, b_graph, star
-from bindex.indices import IndexKind, _profile, all_indices, cei_by_edges, compute, eds_by_pairs
+from bindex.indices import IndexKind, _profile, all_indices, compute
 from bindex.graphs import UNREACHABLE, distances_from, is_connected, new_graph
 from bindex.oracle import enumerate_connected_bipartite
 from conftest import outcome, random_connected_bipartite
+from reference import cei_by_edges, eds_by_pairs
 
 F = Fraction
 W, WW, H, CEI, EDS = IndexKind
@@ -68,7 +69,6 @@ def test_kind_metadata():
     assert downs == {IndexKind.W, IndexKind.WW, IndexKind.EDS}
     for k in IndexKind:
         assert k.bound_direction == ("lower" if k.decreases_when_edges_added else "upper")
-    assert {k for k in IndexKind if k.is_rational} == {IndexKind.H, IndexKind.CEI}
 
 
 def test_two_vertex_and_single_vertex():

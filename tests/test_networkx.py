@@ -17,17 +17,16 @@ from hypothesis import strategies as st
 
 from bindex.graphs import (
     UNREACHABLE,
-    bipartition,
     bridges,
     certificate,
     distances_from,
     is_connected,
     new_graph,
-    relabel,
 )
 from bindex.indices import IndexKind, compute
 from bindex.oracle import complete_bipartite_blocks
 from bindex.transforms import cut_edge_context
+from reference import bipartition, relabel
 
 nx = pytest.importorskip("networkx")
 

@@ -28,7 +28,7 @@ from bindex.constructors import (
     star,
 )
 from bindex.extremal import admissible_x, optimize
-from bindex.graphs import bipartition, bridges, certificate, graph6_encode, is_connected, new_graph
+from bindex.graphs import bridges, certificate, graph6_encode, is_connected, new_graph
 from bindex.indices import IndexKind, compute
 from bindex.oracle import (
     VerificationReport,
@@ -43,6 +43,7 @@ from bindex.oracle import (
     verify_bound,
 )
 import reference
+from reference import bipartition
 
 W = IndexKind.W
 

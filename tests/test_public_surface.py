@@ -1,8 +1,12 @@
-"""The package's public surface: bindex.__all__ against what __init__ imports.
+"""The package's public surface: bindex.__all__ against what __init__ imports,
+and no library code that nothing reaches.
 
-Reads bindex/__init__.py with the standard library's ast module, so no
+Reads the package's source with the standard library's ast module, so no
 linter is needed. Catches stale exports (a listed name that no longer
-exists), duplicates, and public imports left out of __all__.
+exists), duplicates, public imports left out of __all__, and orphans:
+module-level functions, classes and constants that are not exported, not
+referred to by any other statement of the package, and not a registered
+command. Code only the tests call belongs in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -37,3 +41,57 @@ def test_every_public_import_is_exported():
     imported = _imported_public_names()
     assert imported, "no imports found in bindex/__init__.py"
     assert sorted(set(imported) - set(bindex.__all__)) == []
+
+
+def _is_command(node: ast.stmt) -> bool:
+    """A function registered by a click decorator such as @cli.command("...")."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+        and d.func.attr in ("command", "group")
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _referenced_names(node: ast.stmt) -> set[str]:
+    """Every name, attribute and imported name a statement mentions."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_no_orphaned_library_code():
+    statements = [
+        (path.stem, node)
+        for path in sorted(Path(bindex.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    mentions = [_referenced_names(node) for _, node in statements]
+    orphans = [
+        f"{module}.{name}"
+        for i, (module, node) in enumerate(statements)
+        if not _is_command(node)
+        for name in _defined_names(node)
+        if name not in bindex.__all__
+        and not (name.startswith("__") and name.endswith("__"))
+        and not any(name in seen for j, seen in enumerate(mentions) if j != i)
+    ]
+    assert orphans == []
