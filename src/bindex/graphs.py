@@ -9,11 +9,10 @@ string, written as graph6; a search by ordered cells finds it for all 730
 classes at n = 9 in about 0.1 s of CPU.
 
 Breadth-first search is one primitive, layers(), which yields the BFS
-layers from one root as vertex masks. Distances, connectivity and the
-shores of a cut edge are all built on it; only one hot loop elsewhere
-stays inline, indices._profile, which expands one vertex per twin class
-and takes each layer top-down or bottom-up, whichever tests fewer
-vertices.
+layers from one root as vertex masks. Distances, connectivity, cut edges
+and the shores of a cut edge are all built on it. The one inline fork is
+indices._profile, which expands one vertex per twin class and takes each
+layer top-down or bottom-up, whichever tests fewer vertices.
 """
 
 from __future__ import annotations
@@ -136,41 +135,30 @@ def is_connected(g: Graph) -> bool:
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
-    """Cut edges as normalized (min, max) pairs, via iterative low-link DFS."""
-    n = g.n
-    disc = [0] * n  # 0 = unvisited, else discovery time + 1
-    low = [0] * n
-    timer = 1
+    """Cut edges as normalized (min, max) pairs, read off BFS trees.
+
+    Each non-root vertex v takes a parent p in the layer above. Folded from
+    the deepest layer up, sub[v] is v and its tree descendants and nb[v] the
+    union of their neighbor masks. Only a tree edge can be a cut edge, and
+    (p, v) is one iff no other edge leaves sub[v] (Tarjan, Inf. Process.
+    Lett. 2 (1974) 160-161; any spanning tree will do). v's descendants lie
+    two layers or more below p, so the test is nb[v] & ~sub[v] == 1 << p.
+    """
+    adj = g.adj
+    sub = [1 << v for v in range(g.n)]
+    nb = list(adj)
     out = []
-    for root in range(n):
-        if disc[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        # frame: [vertex, parent, neighbor tuple, next index]
-        stack = [[root, -1, g.neighbors(root), 0]]
-        while stack:
-            frame = stack[-1]
-            v, parent, nbrs, i = frame
-            if i < len(nbrs):
-                frame[3] += 1
-                w = nbrs[i]
-                if w == parent:
-                    continue  # simple graph: the one tree edge back up
-                if disc[w]:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append([w, v, g.neighbors(w), 0])
-            else:
-                stack.pop()
-                if parent != -1:
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] > disc[parent]:
-                        out.append((min(parent, v), max(parent, v)))
+    rest = (1 << g.n) - 1  # vertices of components not yet searched
+    while rest:
+        levels = list(layers(adj, (rest & -rest).bit_length() - 1))
+        rest &= ~sum(levels)
+        for d in range(len(levels) - 1, 0, -1):
+            for v in _bits(levels[d]):
+                p = (adj[v] & levels[d - 1]).bit_length() - 1
+                if nb[v] & ~sub[v] == 1 << p:
+                    out.append((min(p, v), max(p, v)))
+                sub[p] |= sub[v]
+                nb[p] |= nb[v]
     return frozenset(out)
 
 

@@ -22,11 +22,11 @@ in error would show as a count mismatch against the enumeration and OEIS
 A001832.
 
 verification_sweep is the one verification path: it enumerates each n
-once, groups the classes by cut edge count, finds each index's optimum and
-certifies it next to the predicted family. verify_bound returns one of its
-rows. One size guard, cap, bounds both enumeration and certificates, and
-the sweep checks every n and k before any work starts. Everything runs in
-one process; the n = 5..10 sweep takes about 0.3 s of CPU.
+once, keeps the classes of each cut edge count with rows to do, finds each
+index's optimum and certifies it next to the predicted family. verify_bound
+returns one of its rows. One size guard, cap, bounds both enumeration and
+certificates, and the sweep checks every n and k before any work starts.
+Everything runs in one process; the n = 5..10 sweep takes about 0.3 s of CPU.
 """
 
 from __future__ import annotations
@@ -134,6 +134,14 @@ def enumerate_connected_bipartite(n: int, cap: int = DEFAULT_CAP) -> Iterator[Gr
 
 def filter_by_cut_edges(graphs: Iterable[Graph], k: int) -> list[Graph]:
     return [g for g in graphs if len(bridges(g)) == k]
+
+
+def _by_cut_edges(graphs: Iterable[Graph], ks: list[int]) -> dict[int, list[Graph]]:
+    """Each k in ks, in order, with the graphs that have k cut edges; no other graph is kept."""
+    groups: dict[int, list[Graph]] = {k: [] for k in ks}
+    for g in graphs:
+        groups.get(len(bridges(g)), []).append(g)
+    return groups
 
 
 def _best_multi(
@@ -270,15 +278,11 @@ def _sweep(
             k: [kind for kind in kinds if (kind.value, n, k) not in done]
             for k in rows
         }
-        if not any(todo.values()):
+        ks = [k for k in rows if todo[k]]
+        if not ks:
             continue
-        groups: dict[int, list[Graph]] = {}
-        for g in enumerate_connected_bipartite(n, cap):
-            groups.setdefault(len(bridges(g)), []).append(g)
-        for k in rows:
-            if not todo[k]:
-                continue
-            candidates = groups.get(k, [])
+        groups = _by_cut_edges(enumerate_connected_bipartite(n, cap), ks)
+        for k, candidates in groups.items():
             if not candidates:
                 raise Infeasible(
                     f"enumeration produced no graph with n={n}, k={k} cut edges"

@@ -26,6 +26,12 @@ end is the library's (text is encoded as UTF-8, surrogate escapes back to
 their bytes), so both must return the same Graph, or raise ValueError with
 the same text, on any input.
 
+bridges is the iterative low-link depth-first search that bindex ran before
+it read cut edges off BFS trees: explicit stack frames over neighbor tuples,
+with discovery times and low links, and (parent, v) a cut edge iff no back
+edge from v's subtree reaches parent or above. Both must return the same
+frozenset of (min, max) pairs on every graph, connected or not.
+
 bipartition two-colors a graph by BFS level parity, component by component,
 and returns None on an odd cycle. It builds the random bipartite graphs the
 tests draw, and the networkx tests check it against networkx's own.
@@ -321,6 +327,45 @@ def graph6_decode(text: str | bytes) -> Graph:
         for u in _bits(col):
             adj[u] |= 1 << v
     return Graph(n, tuple(adj))
+
+
+def bridges(g: Graph) -> frozenset[tuple[int, int]]:
+    """Cut edges as normalized (min, max) pairs, via iterative low-link DFS."""
+    n = g.n
+    disc = [0] * n  # 0 = unvisited, else discovery time + 1
+    low = [0] * n
+    timer = 1
+    out = []
+    for root in range(n):
+        if disc[root]:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        # frame: [vertex, parent, neighbor tuple, next index]
+        stack = [[root, -1, g.neighbors(root), 0]]
+        while stack:
+            frame = stack[-1]
+            v, parent, nbrs, i = frame
+            if i < len(nbrs):
+                frame[3] += 1
+                w = nbrs[i]
+                if w == parent:
+                    continue  # simple graph: the one tree edge back up
+                if disc[w]:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append([w, v, g.neighbors(w), 0])
+            else:
+                stack.pop()
+                if parent != -1:
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] > disc[parent]:
+                        out.append((min(parent, v), max(parent, v)))
+    return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,8 +21,10 @@ from bindex.graphs import (
     is_connected,
     new_graph,
 )
+from bindex.oracle import enumerate_connected_bipartite
 from conftest import outcome, random_connected_bipartite, scrambled
 from reference import bipartition, reference_certificate, relabel
+from reference import bridges as reference_bridges
 from reference import graph6_decode as reference_graph6_decode
 
 
@@ -84,6 +87,57 @@ def test_bridges():
     )
     assert bridges(g) == frozenset({(2, 3)})
     assert bridges(new_graph(2, [(0, 1)])) == frozenset({(0, 1)})
+
+
+def disjoint_union(*gs):
+    edges, offset = [], 0
+    for g in gs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return new_graph(offset, edges)
+
+
+def large_graphs():
+    """Seeded graphs past the n <= 9 the hypothesis strategies draw."""
+    rng = random.Random(2024)
+    tree = new_graph(2000, [(rng.randrange(v), v) for v in range(1, 2000)])  # random recursive
+    edges = [(i, (i + 1) % 300) for i in range(300)]
+    for root in range(0, 300, 7):  # a pendant path of 1..6 edges on every 7th cycle vertex
+        last = root
+        for _ in range(rng.randint(1, 6)):
+            edges.append((last, len(edges)))  # edge i >= 300 ends at new vertex i
+            last = len(edges) - 1
+    hairy = new_graph(len(edges), edges)
+    dense, sparse = (
+        new_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+        for n, p in ((200, 0.5), (300, 0.005))
+    )
+    return {
+        "path": path(2000),
+        "tree": tree,
+        "hairy-cycle": hairy,
+        "union": disjoint_union(path(2000), tree, hairy, cycle(5)),
+        "dense": dense,
+        "sparse": sparse,
+    }
+
+
+def test_bridges_match_the_reference_on_every_class_to_n9():
+    for n in range(1, 10):
+        for g in enumerate_connected_bipartite(n):
+            assert bridges(g) == reference_bridges(g), graph6_encode(g)
+
+
+@pytest.mark.parametrize(
+    "name, g", [pytest.param(name, g, id=name) for name, g in large_graphs().items()]
+)
+def test_bridges_match_the_reference_on_large_graphs(name, g):
+    cut = bridges(g)
+    assert cut == reference_bridges(g)
+    if name in ("path", "tree"):
+        assert len(cut) == g.n - 1
+    if name == "dense":
+        assert not cut and is_connected(g)
 
 
 def test_bipartition():

@@ -6,11 +6,13 @@ sweep's optimum, certificates and up-front request checks.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -189,6 +191,43 @@ def test_sweep_computes_only_the_requested_kinds(monkeypatch):
     assert type(report.oracle_value) is Fraction and report.oracle_value == 48
 
 
+def test_sweep_keeps_no_class_whose_k_has_no_rows(monkeypatch):
+    # n = 8 has no k = 0 row, so its k = 0 classes must be gone by the first row
+    real = oracle.enumerate_connected_bipartite
+    unranked = []
+
+    def tracked(n, cap):
+        for g in real(n, cap):
+            if not bridges(g):
+                unranked.append(weakref.ref(g))
+            yield g
+
+    monkeypatch.setattr(oracle, "enumerate_connected_bipartite", tracked)
+    rows = verification_sweep([8], [W], cap=8)
+    first = next(rows)
+    gc.collect()
+    assert (first.n, first.k) == (8, 1)
+    assert len(unranked) > 0
+    assert [ref for ref in unranked if ref() is not None] == []
+
+
+def test_sweep_names_a_k_the_enumeration_never_produced(monkeypatch):
+    real = oracle.enumerate_connected_bipartite
+    monkeypatch.setattr(
+        oracle,
+        "enumerate_connected_bipartite",
+        lambda n, cap: (g for g in real(n, cap) if len(bridges(g)) != 2),
+    )
+    rows = verification_sweep([8], ks=[1, 2], cap=8)
+    assert [(r.n, r.k, r.index) for r in islice(rows, len(IndexKind))] == [
+        (8, 1, kind) for kind in IndexKind
+    ]
+    with pytest.raises(
+        Infeasible, match=r"^enumeration produced no graph with n=8, k=2 cut edges$"
+    ):
+        next(rows)
+
+
 def test_verify_bound_infeasible_k():
     with pytest.raises(Infeasible):
         verify_bound(W, 8, 5)  # n-3 cut edges never occur
@@ -296,15 +335,16 @@ def test_load_reports_accepts_a_row_with_elapsed_ms(tmp_path):
     assert load_reports(path) == {("h", 6, 1): report}
 
 
-def test_committed_n12_rows_match_the_bounds():
-    # written once by `bindex verify --n 12 --cap 12 --out tests/golden/verify_n12.jsonl`;
-    # read back, never re-enumerated (212780 classes)
-    rows = load_reports(Path(__file__).parent / "golden" / "verify_n12.jsonl")
-    assert sorted(rows) == sorted((kind.value, 12, k) for kind in IndexKind for k in bound_rows(12))
-    assert len(rows) == 45
+@pytest.mark.parametrize("size, count", [(12, 45), (13, 50)], ids=["n12", "n13"])
+def test_committed_rows_match_the_bounds(size, count):
+    # written once by `bindex verify --n 12 --cap 12 --out tests/golden/verify_n12.jsonl`
+    # and the same at n = 13; read back, never re-enumerated (212780 and 2241730 classes)
+    rows = load_reports(Path(__file__).parent / "golden" / f"verify_n{size}.jsonl")
+    assert sorted(rows) == sorted((kind.value, size, k) for kind in IndexKind for k in bound_rows(size))
+    assert len(rows) == count
     for (index, n, k), row in rows.items():
         bound = optimize(IndexKind(index), n, k)
-        family = oracle._certs((b_graph(spec) for spec in bound.family), cap=12)
+        family = oracle._certs((b_graph(spec) for spec in bound.family), cap=size)
         assert (row.predicted_value, row.predicted_certificates) == (bound.value, family)
         assert (row.oracle_value, row.oracle_certificates) == (bound.value, family)
         assert row.matched
