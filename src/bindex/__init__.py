@@ -21,7 +21,6 @@ from .constructors import (
 )
 from .extremal import (
     BoundResult,
-    CaseLabel,
     CaseRow,
     Reconciliation,
     admissible_x,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BkSpec",
     "BoundResult",
-    "CaseLabel",
     "CaseRow",
     "CutEdgeContext",
     "DecoratedCore",

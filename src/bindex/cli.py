@@ -4,6 +4,11 @@ Every command writes deterministic output: fixed column orders, exact
 rationals ("22/3"), newline-terminated CSV, no timestamps and no timings,
 so reruns are byte-identical.
 
+probe and construct are groups with one subcommand per kind (probe
+add-edge, construct bk, ...). Each kind declares only the options it
+reads, so click itself rejects an option of another kind, and
+`bindex probe KIND --help` lists exactly that kind's options.
+
 Exit codes: 0 success, 1 usage or input error, 2 infeasible parameters,
 3 verification or contract mismatch under --strict.
 """
@@ -153,52 +158,37 @@ def _index_rows(lines: Iterable[bytes], kinds: list[IndexKind], columns: list[st
         yield row
 
 
-def _reject_foreign_options(kind: str, table: dict[str, set[str]]) -> None:
-    """Usage error naming each option given that table assigns to other kinds only."""
-    ctx = click.get_current_context()
-    owned = set().union(*table.values())
-    foreign = [
-        p for p in ctx.command.params
-        if p.name in owned and p.name not in table[kind]
-        and ctx.get_parameter_source(p.name) is not click.core.ParameterSource.DEFAULT
-    ]
-    if foreign:
-        owners = [k for k, names in table.items() if any(p.name in names for p in foreign)]
-        flags = " or ".join(p.opts[0] for p in foreign)
-        raise click.UsageError(f"{kind} takes no {flags} ({' and '.join(owners)} only)")
-
-
-# the options each construct family reads
-_CONSTRUCT_OPTIONS = {"star": {"n"}, "kst": {"s", "t"}, "bk": {"n", "k", "x"}}
-
-
-@cli.command("construct")
-@click.argument("family", type=click.Choice(["star", "kst", "bk"]))
-@click.option("--n", type=int, help="vertex count (star, bk)")
-@click.option("--s", type=int, help="small part size (kst)")
-@click.option("--t", type=int, help="large part size (kst)")
-@click.option("--k", type=int, help="cut edge count (bk)")
-@click.option("--x", type=int, help="small part size (bk); defaults to 1 when k = n-1")
-def cmd_construct(family: str, n, s, t, k, x) -> None:
+@cli.group("construct")
+def cmd_construct() -> None:
     """Emit one reference graph as a graph6 line."""
-    _reject_foreign_options(family, _CONSTRUCT_OPTIONS)
-    if family == "star":
-        if n is None:
-            raise click.UsageError("star needs --n")
-        g = star(n)
-    elif family == "kst":
-        if s is None or t is None:
-            raise click.UsageError("kst needs --s and --t")
-        g = complete_bipartite(s, t)
-    else:
-        if n is None or k is None:
-            raise click.UsageError("bk needs --n and --k")
-        if x is None:
-            if k != n - 1:
-                raise click.UsageError("bk needs --x unless k = n-1")
-            x = 1
-        g = b_graph(BkSpec(n, k, x))
-    click.echo(graph6_encode(g))
+
+
+@cmd_construct.command("star")
+@click.option("--n", type=int, required=True, help="vertex count")
+def construct_star(n: int) -> None:
+    """The star K_(1,n-1), center 0."""
+    click.echo(graph6_encode(star(n)))
+
+
+@cmd_construct.command("kst")
+@click.option("--s", type=int, required=True, help="small part size")
+@click.option("--t", type=int, required=True, help="large part size")
+def construct_kst(s: int, t: int) -> None:
+    """The complete bipartite graph K_(s,t)."""
+    click.echo(graph6_encode(complete_bipartite(s, t)))
+
+
+@cmd_construct.command("bk")
+@click.option("--n", type=int, required=True, help="vertex count")
+@click.option("--k", type=int, required=True, help="cut edge count")
+@click.option("--x", type=int, help="small part size; defaults to 1 when k = n-1")
+def construct_bk(n: int, k: int, x) -> None:
+    """B_k(x, n-k-x): k pendants on one small-part vertex of K_(x,n-k-x)."""
+    if x is None:
+        if k != n - 1:
+            raise click.UsageError("bk needs --x unless k = n-1")
+        x = 1
+    click.echo(graph6_encode(b_graph(BkSpec(n, k, x))))
 
 
 @cli.command("bound")
@@ -254,7 +244,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
         }
         if do_reconcile:
             rec = reconcile(kind, n, k)
-            row["clause"] = str(rec.table.label)
+            row["clause"] = rec.table.label
             row["relation"] = rec.table.relation
             row["table_value"] = str(rec.table.value)
             row["table_x"] = ";".join(str(v) for v in rec.table.x_values)
@@ -349,7 +339,8 @@ def _parse_counts(text: str) -> dict[int, int]:
     return out
 
 
-def _delta_rows(before, after, expected=EDGE_ADDITION_SIGNS) -> tuple[list[dict], bool]:
+def _emit_contract(before, after, expected, fmt: str, strict: bool) -> None:
+    """One row per index: its delta against the contract's entry; exit 3 under strict if any fails."""
     old, new = all_indices(before), all_indices(after)
     rows = []
     for kind in IndexKind:
@@ -364,90 +355,93 @@ def _delta_rows(before, after, expected=EDGE_ADDITION_SIGNS) -> tuple[list[dict]
                 "ok": "yes" if holds(delta, expected[kind]) else "NO",
             }
         )
-    return rows, all(row["ok"] == "yes" for row in rows)
+    _emit(rows, ["index", "before", "after", "delta", "expected", "ok"], fmt)
+    if strict and any(row["ok"] == "NO" for row in rows):
+        sys.exit(3)
 
 
-# the options each probe kind reads; --seed only seeds add-edge's --samples,
-# and --strict and --format belong to every kind
-_PROBE_OPTIONS = {
-    "add-edge": {"g6", "samples", "seed"},
-    "contract": {"g6", "u", "w"},
-    "shift-within": {"s", "t", "a_count", "b_count", "donor", "receiver", "others"},
-    "shift-across": {"s", "t", "a_count", "b_count"},
-}
+def _contract_output(fn):
+    """--strict and --format, which every probe kind takes."""
+    fn = _fmt_option()(fn)
+    return click.option("--strict", is_flag=True, help="exit 3 when any contract fails")(fn)
 
 
-@cli.command("probe")
-@click.argument(
-    "kind", type=click.Choice(["add-edge", "contract", "shift-within", "shift-across"])
-)
-@click.option("--g6", help="input graph (add-edge, contract)")
-@click.option("--u", type=int, help="cut edge endpoint (contract)")
-@click.option("--w", type=int, help="cut edge endpoint (contract)")
-@click.option("--samples", type=int, default=None, help="absent edges to sample (add-edge); default all")
-@click.option("--seed", type=int, default=0, show_default=True, help="sampling seed (add-edge)")
-@click.option("--s", type=int, help="core part sizes (shifts)")
-@click.option("--t", type=int)
-@click.option("--a", "a_count", type=int, default=1, show_default=True, help="pendants on the donor / small-part vertex")
-@click.option("--b", "b_count", type=int, default=1, show_default=True, help="pendants on the receiver / large-part vertex")
-@click.option("--donor", type=int, default=0, show_default=True, help="core vertex losing pendants (shift-within)")
-@click.option("--receiver", type=int, default=1, show_default=True, help="core vertex gaining pendants (shift-within)")
-@click.option("--others", default="", help="extra decorations vertex:count,... (shift-within); not the donor or receiver, which take --a and --b")
-@click.option("--strict", is_flag=True, help="exit 3 when any contract fails")
-@_fmt_option()
-def cmd_probe(
-    kind, g6, u, w, samples, seed, s, t, a_count, b_count, donor, receiver, others, strict, fmt
-) -> None:
+def _shift_options(fn):
+    """--s, --t, --a and --b: the core K_(s,t) and the two pendant counts a shift moves between."""
+    fn = click.option("--b", "b_count", type=int, default=1, show_default=True, help="pendant count b (see above)")(fn)
+    fn = click.option("--a", "a_count", type=int, default=1, show_default=True, help="pendant count a (see above)")(fn)
+    fn = click.option("--t", type=int, required=True, help="large core part size")(fn)
+    return click.option("--s", type=int, required=True, help="small core part size")(fn)
+
+
+@cli.group("probe")
+def cmd_probe() -> None:
     """Run one surgery or the edge-addition law and check its contract.
 
-    add-edge: every index must move strictly the right way on each added
-    edge. contract: slide a cut edge together plus a new pendant.
-    shift-within / shift-across: pendant moves on a decorated complete
-    bipartite core, each index checked against an exact delta or a sign.
+    Each kind prints one row per index (add-edge: one per added edge) with
+    its delta and whether the contract holds; bindex probe KIND --help
+    lists the options of that kind.
     """
-    _reject_foreign_options(kind, _PROBE_OPTIONS)
-    if kind == "add-edge":
-        if not g6:
-            raise click.UsageError("add-edge needs --g6")
-        report = monotonicity_probe(graph6_decode(g6), samples, seed)
-        columns = ["u", "v"] + [f"d_{x.value}" for x in IndexKind] + ["ok"]
-        rows = []
-        for probe in report.probes:
-            row = {"u": probe.u, "v": probe.v, "ok": "yes" if probe.consistent else "NO"}
-            for x in IndexKind:
-                row[f"d_{x.value}"] = str(probe.deltas[x])
-            rows.append(row)
-        _emit(rows, columns, fmt)
-        if strict and not report.consistent:
-            sys.exit(3)
-        return
-    if kind == "contract":
-        if not g6 or u is None or w is None:
-            raise click.UsageError("contract needs --g6, --u and --w")
-        g = graph6_decode(g6)
-        after = contract_bridge(cut_edge_context(g, u, w))
-        rows, ok = _delta_rows(g, after)
-    elif kind == "shift-within":
-        if s is None or t is None:
-            raise click.UsageError("shift-within needs --s and --t")
-        counts = _parse_counts(others)
-        for vertex, role, flag in ((donor, "donor", "--a"), (receiver, "receiver", "--b")):
-            if vertex in counts:
-                raise click.UsageError(f"--others names vertex {vertex}, the {role}: give its pendants with {flag}")
-        counts[donor] = a_count
-        counts[receiver] = b_count
-        core = DecoratedCore.make(s, t, counts)
-        prediction = shift_pendants_within_part(core, donor, receiver)
-        rows, ok = _delta_rows(realize(core), realize(prediction.shifted), prediction.expected)
-    else:
-        if s is None or t is None:
-            raise click.UsageError("shift-across needs --s and --t")
-        core = DecoratedCore.make(s, t, {0: a_count, s: b_count})
-        prediction = shift_pendants_across_parts(core)
-        rows, ok = _delta_rows(realize(core), realize(prediction.shifted), prediction.expected)
-    _emit(rows, ["index", "before", "after", "delta", "expected", "ok"], fmt)
-    if strict and not ok:
+
+
+@cmd_probe.command("add-edge")
+@click.option("--g6", required=True, help="input graph")
+@click.option("--samples", type=int, default=None, help="absent edges to sample; default all")
+@click.option("--seed", type=int, default=0, show_default=True, help="sampling seed")
+@_contract_output
+def probe_add_edge(g6: str, samples, seed: int, strict: bool, fmt: str) -> None:
+    """Every index must move strictly the right way on each added edge."""
+    report = monotonicity_probe(graph6_decode(g6), samples, seed)
+    columns = ["u", "v"] + [f"d_{x.value}" for x in IndexKind] + ["ok"]
+    rows = []
+    for probe in report.probes:
+        row = {"u": probe.u, "v": probe.v, "ok": "yes" if probe.consistent else "NO"}
+        for x in IndexKind:
+            row[f"d_{x.value}"] = str(probe.deltas[x])
+        rows.append(row)
+    _emit(rows, columns, fmt)
+    if strict and not report.consistent:
         sys.exit(3)
+
+
+@cmd_probe.command("contract")
+@click.option("--g6", required=True, help="input graph")
+@click.option("--u", type=int, required=True, help="cut edge endpoint that stays")
+@click.option("--w", type=int, required=True, help="cut edge endpoint merged into --u")
+@_contract_output
+def probe_contract(g6: str, u: int, w: int, strict: bool, fmt: str) -> None:
+    """Slide a cut edge together and hang a new pendant on the merge."""
+    g = graph6_decode(g6)
+    _emit_contract(g, contract_bridge(cut_edge_context(g, u, w)), EDGE_ADDITION_SIGNS, fmt, strict)
+
+
+@cmd_probe.command("shift-within")
+@_shift_options
+@click.option("--donor", type=int, default=0, show_default=True, help="core vertex losing pendants")
+@click.option("--receiver", type=int, default=1, show_default=True, help="core vertex gaining pendants")
+@click.option("--others", default="", help="extra decorations vertex:count,...; not the donor or receiver, which take --a and --b")
+@_contract_output
+def probe_shift_within(s, t, a_count, b_count, donor, receiver, others, strict, fmt) -> None:
+    """Move the donor's a pendants onto the receiver's b, in the same part."""
+    counts = _parse_counts(others)
+    for vertex, role, flag in ((donor, "donor", "--a"), (receiver, "receiver", "--b")):
+        if vertex in counts:
+            raise click.UsageError(f"--others names vertex {vertex}, the {role}: give its pendants with {flag}")
+    counts[donor] = a_count
+    counts[receiver] = b_count
+    core = DecoratedCore.make(s, t, counts)
+    prediction = shift_pendants_within_part(core, donor, receiver)
+    _emit_contract(realize(core), realize(prediction.shifted), prediction.expected, fmt, strict)
+
+
+@cmd_probe.command("shift-across")
+@_shift_options
+@_contract_output
+def probe_shift_across(s, t, a_count, b_count, strict, fmt) -> None:
+    """Move the b pendants on large-part vertex s to the a on small-part vertex 0."""
+    core = DecoratedCore.make(s, t, {0: a_count, s: b_count})
+    prediction = shift_pendants_across_parts(core)
+    _emit_contract(realize(core), realize(prediction.shifted), prediction.expected, fmt, strict)
 
 
 def main() -> None:

@@ -13,7 +13,6 @@ deterministic, so equal parameters give byte-equal graph6 strings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 
 from .graphs import Graph, new_graph
 
@@ -153,10 +152,12 @@ def bound_cut_edge_counts(n: int) -> tuple[int, ...]:
     return feasible_cut_edge_counts(n)[1:]
 
 
-@cache  # every closed-form call checks its row; a failing row raises and is not cached
 def check_bound_row(n: int, k: int) -> None:
-    """Raise Infeasible unless the bounds cover k cut edges on n vertices."""
-    if k not in bound_cut_edge_counts(n):
+    """Raise Infeasible unless the bounds cover k cut edges on n vertices:
+    n >= 5, and k is 1..n-4 or the tree row n-1 (bound_cut_edge_counts)."""
+    if n < 5:
+        raise Infeasible(f"bounds defined for n>=5, got n={n}")
+    if not (1 <= k <= n - 4 or k == n - 1):
         raise Infeasible(
             f"k={k} out of range: need 1 <= k <= n-4 = {n - 4} or the tree row k = n-1"
         )

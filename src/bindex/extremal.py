@@ -109,19 +109,10 @@ def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
 
 
 @dataclass(frozen=True)
-class CaseLabel:
-    index: IndexKind
-    clause: str  # roman numeral within that index's table
-
-    def __str__(self) -> str:
-        return f"{self.index.value}.{self.clause}"
-
-
-@dataclass(frozen=True)
 class CaseRow:
     """One table answer: printed value, printed optimizers, realizable family."""
 
-    label: CaseLabel
+    label: str  # index and roman clause of its table, e.g. "w.iii"
     n: int
     k: int
     relation: str
@@ -147,7 +138,7 @@ def _row(
                 pass
         valid = False
     return CaseRow(
-        CaseLabel(kind, _ROMAN[clause - 1]),
+        f"{kind.value}.{_ROMAN[clause - 1]}",
         n,
         k,
         TABLE_RELATION[kind],

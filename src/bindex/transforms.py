@@ -14,8 +14,9 @@ Each contract is one expectation map from every index to either its exact
 delta (a Fraction, where a closed form is known) or the sign the delta
 must have ("<0", ">0" or ">=0"); holds() is the one check of a delta
 against its entry. EDGE_ADDITION_SIGNS is the edge addition law (W, WW,
-EDS fall, H and CEI rise), which contract_bridge also obeys and
-monotonicity_probe checks on sampled absent edges.
+EDS fall, H and CEI rise), read off IndexKind.decreases_when_edges_added;
+contract_bridge also obeys it and monotonicity_probe checks it on sampled
+absent edges.
 """
 
 from __future__ import annotations
@@ -25,15 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructors import DecoratedCore, Infeasible
-from .graphs import Graph, add_edge, bridges, graph6_encode, is_connected, layers, new_graph
+from .graphs import Graph, _check_vertex, add_edge, bridges, is_connected, layers, new_graph
 from .indices import IndexKind, all_indices
 
 EDGE_ADDITION_SIGNS: dict[IndexKind, Fraction | str] = {
-    IndexKind.W: "<0",
-    IndexKind.WW: "<0",
-    IndexKind.H: ">0",
-    IndexKind.CEI: ">0",
-    IndexKind.EDS: "<0",
+    kind: "<0" if kind.decreases_when_edges_added else ">0" for kind in IndexKind
 }
 
 
@@ -56,7 +53,10 @@ class CutEdgeContext:
 
 
 def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
-    """Validate that (u, w) is a cut edge with at least 2 vertices per side."""
+    """Validate that u and w are vertices of g and (u, w) is a cut edge
+    with at least 2 vertices per side."""
+    _check_vertex(g.n, u)
+    _check_vertex(g.n, w)
     if not is_connected(g):
         raise ValueError("cut edge context needs a connected graph")
     if (min(u, w), max(u, w)) not in bridges(g):
@@ -103,7 +103,6 @@ def contract_bridge(ctx: CutEdgeContext) -> Graph:
 class ShiftPrediction:
     """Contract of one pendant shift: per index, its exact delta or its sign."""
 
-    core: DecoratedCore
     shifted: DecoratedCore
     expected: dict[IndexKind, Fraction | str]
 
@@ -151,7 +150,7 @@ def shift_pendants_within_part(
         IndexKind.CEI: Fraction(0) if third_decorated else ">0",
         IndexKind.EDS: Fraction(-16 * a * b) if third_decorated else "<0",
     }
-    return ShiftPrediction(core, shifted, expected)
+    return ShiftPrediction(shifted, expected)
 
 
 def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
@@ -183,7 +182,7 @@ def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
         IndexKind.W: Fraction(-a * b + b * (s - t)),
         IndexKind.CEI: Fraction(s * (t - 1), 6),
     }
-    return ShiftPrediction(core, shifted, expected)
+    return ShiftPrediction(shifted, expected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +195,6 @@ class EdgeProbe:
 
 @dataclass(frozen=True, eq=False)
 class ProbeReport:
-    graph6: str
     probes: tuple[EdgeProbe, ...]
     consistent: bool
 
@@ -228,4 +226,4 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> P
         deltas = {kind: after[kind] - base[kind] for kind in IndexKind}
         ok = all(holds(deltas[k], want) for k, want in EDGE_ADDITION_SIGNS.items())
         probes.append(EdgeProbe(u, v, deltas, ok))
-    return ProbeReport(graph6_encode(g), tuple(probes), all(p.consistent for p in probes))
+    return ProbeReport(tuple(probes), all(p.consistent for p in probes))

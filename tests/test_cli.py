@@ -164,15 +164,15 @@ def test_construct_usage_errors():
     assert run("construct", "bk", "--n", "8", "--k", "2").returncode == 1
     # an option of another family is an error, not ignored
     for args, message in [
-        (["star", "--n", "5", "--k", "2"], "star takes no --k (bk only)"),
+        (["star", "--n", "5", "--k", "2"], "No such option '--k'. Did you mean '--n'?"),
         (["kst", "--s", "2", "--t", "3", "--n", "9", "--x", "4"],
-         "kst takes no --n or --x (star and bk only)"),
+         "No such option '--n'. (Did you mean one of: '--s', '--t'?)"),
     ]:
         res = run("construct", *args)
         assert (res.returncode, res.stdout) == (1, "")
         assert res.stderr == (
-            "Usage: bindex construct [OPTIONS] {star|kst|bk}\n"
-            "Try 'bindex construct --help' for help.\n"
+            f"Usage: bindex construct {args[0]} [OPTIONS]\n"
+            f"Try 'bindex construct {args[0]} --help' for help.\n"
             "\n"
             f"Error: {message}\n"
         )
@@ -469,6 +469,11 @@ def test_probe_contract_rejects_non_bridge():
     assert "error" in res.stderr
 
 
+def test_probe_contract_names_an_endpoint_out_of_range():
+    res = run("probe", "contract", "--g6", "Ch", "--u", "9", "--w", "1")  # Ch: P_4
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: vertex 9 out of range for n=4\n")
+
+
 def test_probe_shifts():
     res = run("probe", "shift-within", "--s", "3", "--t", "3", "--a", "2",
               "--b", "3", "--others", "2:1", "--strict", "--format", "csv")
@@ -498,8 +503,8 @@ def test_probe_shift_within_rejects_others_on_donor_or_receiver(others, message)
               "--others", others)
     assert (res.returncode, res.stdout) == (1, "")
     assert res.stderr == (
-        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
-        "Try 'bindex probe --help' for help.\n"
+        "Usage: bindex probe shift-within [OPTIONS]\n"
+        "Try 'bindex probe shift-within --help' for help.\n"
         "\n"
         f"Error: --others names {message}\n"
     )
@@ -509,8 +514,8 @@ def test_probe_shift_within_rejects_a_vertex_named_twice():
     res = run("probe", "shift-within", "--s", "3", "--t", "3", "--others", "2:1,2:4")
     assert (res.returncode, res.stdout) == (1, "")
     assert res.stderr == (
-        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
-        "Try 'bindex probe --help' for help.\n"
+        "Usage: bindex probe shift-within [OPTIONS]\n"
+        "Try 'bindex probe shift-within --help' for help.\n"
         "\n"
         "Error: --others names vertex 2 twice\n"
     )
@@ -519,7 +524,7 @@ def test_probe_shift_within_rejects_a_vertex_named_twice():
 @pytest.mark.parametrize(
     "extra, named",
     [
-        (["--donor", "4", "--others", "2:1"], "--donor or --others"),
+        (["--donor", "4", "--others", "2:1"], "--donor"),  # click names the first only
         (["--receiver", "1"], "--receiver"),  # the default value, given on purpose
         (["--others", ""], "--others"),
     ],
@@ -528,10 +533,10 @@ def test_probe_shift_across_rejects_shift_within_options(extra, named):
     res = run("probe", "shift-across", "--s", "2", "--t", "3", *extra)
     assert (res.returncode, res.stdout) == (1, "")
     assert res.stderr == (
-        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
-        "Try 'bindex probe --help' for help.\n"
+        "Usage: bindex probe shift-across [OPTIONS]\n"
+        "Try 'bindex probe shift-across --help' for help.\n"
         "\n"
-        f"Error: shift-across takes no {named} (shift-within only)\n"
+        f"Error: No such option '{named}'.\n"
     )
 
 
@@ -539,13 +544,13 @@ def test_probe_shift_across_rejects_shift_within_options(extra, named):
     "args, message",
     [
         (["add-edge", "--g6", "Ch", "--s", "3", "--a", "5"],
-         "add-edge takes no --s or --a (shift-within and shift-across only)"),
+         "No such option '--s'. Did you mean '--seed'?"),
         (["contract", "--g6", "Ch", "--u", "1", "--w", "2", "--samples", "3"],
-         "contract takes no --samples (add-edge only)"),
+         "No such option '--samples'."),
         (["shift-across", "--s", "2", "--t", "3", "--g6", "Ch"],
-         "shift-across takes no --g6 (add-edge and contract only)"),
+         "No such option '--g6'."),
         (["shift-within", "--s", "3", "--t", "3", "--seed", "0"],  # the default value
-         "shift-within takes no --seed (add-edge only)"),
+         "No such option '--seed'. Did you mean '--s'?"),
     ],
     ids=["add-edge", "contract", "shift-across", "shift-within"],
 )
@@ -553,8 +558,8 @@ def test_probe_rejects_options_of_another_kind(args, message):
     res = run("probe", *args)
     assert (res.returncode, res.stdout) == (1, "")
     assert res.stderr == (
-        "Usage: bindex probe [OPTIONS] {add-edge|contract|shift-within|shift-across}\n"
-        "Try 'bindex probe --help' for help.\n"
+        f"Usage: bindex probe {args[0]} [OPTIONS]\n"
+        f"Try 'bindex probe {args[0]} --help' for help.\n"
         "\n"
         f"Error: {message}\n"
     )
@@ -600,6 +605,25 @@ def test_probe_reports_a_broken_contract(monkeypatch, broken):
     assert {k for k, r in rows.items() if r["ok"] == "NO"} == {bad}
     assert rows[bad]["expected"] == ("-41" if broken == "exact" else "<0")
     assert CliRunner().invoke(cli.cli, args + ["--strict"]).exit_code == 3
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("probe add-edge", "--g6 --samples --seed --strict --format"),
+        ("probe contract", "--g6 --u --w --strict --format"),
+        ("probe shift-within", "--s --t --a --b --donor --receiver --others --strict --format"),
+        ("probe shift-across", "--s --t --a --b --strict --format"),
+        ("construct star", "--n"),
+        ("construct kst", "--s --t"),
+        ("construct bk", "--n --k --x"),
+    ],
+)
+def test_each_kind_lists_only_its_own_options(command, options):
+    res = CliRunner().invoke(cli.cli, [*command.split(), "--help"])
+    assert res.exit_code == 0, res.output
+    listed = re.findall(r"^  (--[a-z0-9-]+)", res.output, re.M)
+    assert listed == options.split() + ["--help"]
 
 
 def test_output_is_deterministic():

@@ -178,6 +178,20 @@ def test_bound_rows_are_the_feasible_counts_but_zero():
         bound_cut_edge_counts(4)
 
 
+def test_bound_row_check_accepts_exactly_the_bound_rows():
+    for n in range(5, 40):
+        rows = bound_cut_edge_counts(n)
+        for k in range(-2, n + 2):
+            if k in rows:
+                check_bound_row(n, k)
+            else:
+                with pytest.raises(Infeasible, match=rf"^k={k} out of range: "):
+                    check_bound_row(n, k)
+    for n in (4, 1, 0, -3):
+        with pytest.raises(Infeasible, match=rf"^bounds defined for n>=5, got n={n}$"):
+            check_bound_row(n, 1)
+
+
 @pytest.mark.parametrize("k", [0, 6, 7, 9, -1])  # below 1, n-3, n-2, past n-1
 def test_every_bound_row_check_gives_one_message(k):
     message = rf"^k={k} out of range: need 1 <= k <= n-4 = 5 or the tree row k = n-1$"

@@ -138,7 +138,7 @@ def test_case_table_totality_and_shape():
             for kind in IndexKind:
                 row = case_table(kind, n, k)
                 assert row.n == n and row.k == k
-                assert str(row.label).startswith(kind.value + ".")
+                assert row.label.startswith(kind.value + ".")
                 assert row.relation == TABLE_RELATION[kind]
                 if row.family_valid:
                     assert row.family
@@ -153,41 +153,41 @@ def test_table_relations():
 def test_case_table_star_rows():
     for kind in IndexKind:
         row = case_table(kind, 9, 8)
-        assert str(row.label) == f"{kind.value}.i"
+        assert row.label == f"{kind.value}.i"
         assert row.family == (BkSpec(9, 8, 1),)
 
 
 def test_case_table_frozen_spots():
     row = case_table(W, 11, 2)
-    assert str(row.label) == "w.iii"
+    assert row.label == "w.iii"
     assert row.value == 94 and row.x_values == (3, 4) and row.family_valid
 
     row = case_table(WW, 10, 2)
-    assert str(row.label) == "ww.iii"
+    assert row.label == "ww.iii"
     assert row.value == F(225, 2) and not row.family_valid
 
     row = case_table(WW, 7, 1)
-    assert str(row.label) == "ww.v"
+    assert row.label == "ww.v"
     assert row.value == F(387, 8) and not row.family_valid
 
     row = case_table(WW, 8, 1)
-    assert str(row.label) == "ww.vi"
+    assert row.label == "ww.vi"
     assert row.value == 64 and row.family_valid
 
     row = case_table(WW, 12, 3)
-    assert str(row.label) == "ww.iv"
+    assert row.label == "ww.iv"
     assert row.value == 173 and row.family_valid
 
     row = case_table(H, 8, 1)
-    assert str(row.label) == "h.v"
+    assert row.label == "h.v"
     assert row.value == F(121, 6) and row.family_valid
 
     row = case_table(CEI, 6, 1)
-    assert str(row.label) == "cei.iii"
+    assert row.label == "cei.iii"
     assert row.value == F(19, 3) and row.family_valid
 
     row = case_table(EDS, 15, 2)
-    assert str(row.label) == "eds.ii"
+    assert row.label == "eds.ii"
     assert row.value == 827
 
 

@@ -93,6 +93,10 @@ def test_cut_edge_context_rejects_bad_input():
         cut_edge_context(path(3), 0, 1)  # one side is a single vertex
     with pytest.raises(ValueError):
         cut_edge_context(new_graph(4, [(0, 1), (2, 3)]), 0, 1)  # disconnected
+    # an endpoint outside the graph is named as such, not called a non-cut edge
+    for u, w, bad in [(9, 1, 9), (1, 4, 4), (-1, 0, -1)]:
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
+            cut_edge_context(path(4), u, w)
 
 
 def test_contract_bridge_directions_on_seeded_contexts():
@@ -369,10 +373,13 @@ def test_probe_rejects_complete_and_disconnected():
 
 
 def test_edge_addition_sign_table():
-    assert EDGE_ADDITION_SIGNS[IndexKind.W] == "<0"
-    assert EDGE_ADDITION_SIGNS[IndexKind.H] == ">0"
-    assert EDGE_ADDITION_SIGNS[IndexKind.CEI] == ">0"
-    assert set(EDGE_ADDITION_SIGNS) == set(IndexKind)
+    assert list(EDGE_ADDITION_SIGNS.items()) == [
+        (IndexKind.W, "<0"),
+        (IndexKind.WW, "<0"),
+        (IndexKind.H, ">0"),
+        (IndexKind.CEI, ">0"),
+        (IndexKind.EDS, "<0"),
+    ]
     g = path(5)
     deltas = index_deltas(g, new_graph(5, list(g.edges()) + [(0, 4)]))
     assert edge_addition_law_holds(deltas)
