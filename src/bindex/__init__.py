@@ -13,6 +13,7 @@ from .constructors import (
     BkSpec,
     DecoratedCore,
     Infeasible,
+    admissible_x,
     b_graph,
     complete_bipartite,
     feasible_cut_edge_counts,
@@ -23,7 +24,6 @@ from .extremal import (
     BoundResult,
     CaseRow,
     Reconciliation,
-    admissible_x,
     case_table,
     closed_form,
     optimize,

@@ -8,6 +8,12 @@ k cut edges, these are the candidates that optimize all five indices.
 Labeling is fixed everywhere: part X first (0..s-1), part Y next
 (s..s+t-1), then pendants in owner order. That makes every constructor
 deterministic, so equal parameters give byte-equal graph6 strings.
+
+The parameter rules of the bounds live here too, each stated once:
+check_bound_row decides which (n, k) the bounds cover (n >= 5, then
+1 <= k <= n-4 or the tree row k = n-1), bound_cut_edge_counts lists those
+k, and admissible_x gives the integer x with 2 <= x <= n-k-x, empty on the
+tree row. BkSpec and the closed forms in extremal test x against that range.
 """
 
 from __future__ import annotations
@@ -83,13 +89,32 @@ def realize(core: DecoratedCore) -> Graph:
     return Graph(label, tuple(adj))
 
 
+def check_bound_row(n: int, k: int) -> None:
+    """Raise Infeasible unless the bounds cover k cut edges on n vertices:
+    n >= 5, and k is 1..n-4 or the tree row n-1 (bound_cut_edge_counts)."""
+    if n < 5:
+        raise Infeasible(f"bounds defined for n>=5, got n={n}")
+    if not (1 <= k <= n - 4 or k == n - 1):
+        raise Infeasible(
+            f"k={k} out of range: need 1 <= k <= n-4 = {n - 4} or the tree row k = n-1"
+        )
+
+
+def admissible_x(n: int, k: int) -> range:
+    """Integer x with 2 <= x <= n-k-x on a bound row: the one x rule.
+
+    Empty exactly on the tree row k = n-1, where no x >= 2 has x <= n-k-x = 1-x.
+    """
+    check_bound_row(n, k)
+    return range(2, (n - k) // 2 + 1)
+
+
 @dataclass(frozen=True)
 class BkSpec:
     """Parameters (n, k, x) of B_k(x, n-k-x); y is derived.
 
-    Validity: (n, k) is a row of the bounds (check_bound_row), and parts
-    2 <= x <= y except the degenerate star row k = n - 1 where the graph
-    collapses to S_n (x = 1, y = 0).
+    Validity: x is in admissible_x(n, k), except on the tree row k = n - 1,
+    where that range is empty and the graph collapses to S_n (x = 1, y = 0).
     """
 
     n: int
@@ -99,11 +124,11 @@ class BkSpec:
 
     def __post_init__(self):
         n, k, x = self.n, self.k, self.x
-        check_bound_row(n, k)
-        if k == n - 1:
+        xs = admissible_x(n, k)
+        if not xs:
             if x != 1:
                 raise Infeasible(f"k=n-1 is the star row and requires x=1, got x={x}")
-        elif not 2 <= x <= n - k - x:
+        elif x not in xs:
             raise Infeasible(
                 f"x={x} violates 2 <= x <= n-k-x = {n - k - x} for n={n}, k={k}"
             )
@@ -147,17 +172,5 @@ def feasible_cut_edge_counts(n: int) -> tuple[int, ...]:
 def bound_cut_edge_counts(n: int) -> tuple[int, ...]:
     """The k the sharp bounds cover on n >= 5 vertices: every feasible k
     but 0, that is 1..n-4 and the tree row k = n-1."""
-    if n < 5:
-        raise Infeasible(f"bounds defined for n>=5, got n={n}")
+    check_bound_row(n, n - 1)  # the tree row: only n < 5 fails
     return feasible_cut_edge_counts(n)[1:]
-
-
-def check_bound_row(n: int, k: int) -> None:
-    """Raise Infeasible unless the bounds cover k cut edges on n vertices:
-    n >= 5, and k is 1..n-4 or the tree row n-1 (bound_cut_edge_counts)."""
-    if n < 5:
-        raise Infeasible(f"bounds defined for n>=5, got n={n}")
-    if not (1 <= k <= n - 4 or k == n - 1):
-        raise Infeasible(
-            f"k={k} out of range: need 1 <= k <= n-4 = {n - 4} or the tree row k = n-1"
-        )

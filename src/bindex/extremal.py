@@ -2,8 +2,9 @@
 
 Two independent layers:
 
-* optimize() evaluates the per-index polynomial at every admissible x and
-  returns the true optimum with all optimal parameters;
+* optimize() evaluates the per-index polynomial at every admissible x
+  (constructors.admissible_x, re-exported here) and returns the true
+  optimum with all optimal parameters, or S_n's value on the tree row;
 * case_table() reproduces a fixed residue-indexed table of closed-form
   answers, kept verbatim, quirks included.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructors import BkSpec, Infeasible, check_bound_row, star
+from .constructors import BkSpec, Infeasible, admissible_x, check_bound_row, star
 from .indices import IndexKind, compute
 
 _ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
@@ -41,10 +42,10 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
     Defined for 1 <= k <= n-4 and integer 2 <= x <= n-k-x; the tree row
     k = n-1 has no x freedom and is served by star_value instead.
     """
-    check_bound_row(n, k)
-    if k == n - 1:
+    xs = admissible_x(n, k)
+    if not xs:
         raise Infeasible("the tree row k = n-1 has no x freedom")
-    if x != int(x) or int(x) not in admissible_x(n, k):
+    if x not in xs:
         raise Infeasible(f"x={x} not admissible for n={n}, k={k}: need integer 2 <= x <= n-k-x")
     x = int(x)
     if kind is IndexKind.W:
@@ -68,14 +69,6 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
     raise ValueError(f"unknown index kind {kind!r}")
 
 
-def admissible_x(n: int, k: int) -> range:
-    """Integer x with 2 <= x <= n-k-x; empty for the tree row k = n-1."""
-    check_bound_row(n, k)
-    if k == n - 1:
-        return range(2, 2)
-    return range(2, (n - k) // 2 + 1)
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """Sharp bound over connected bipartite graphs with n vertices and k cut edges."""
@@ -95,12 +88,11 @@ def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
     The tree row k = n-1 returns the star value computed straight from the
     graph itself.
     """
-    check_bound_row(n, k)
     direction = kind.bound_direction
-    if k == n - 1:
-        value = star_value(kind, n)
-        return BoundResult(kind, n, k, direction, value, (1,), (BkSpec(n, n - 1, 1),))
     xs = admissible_x(n, k)
+    if not xs:
+        value = star_value(kind, n)
+        return BoundResult(kind, n, k, direction, value, (1,), (BkSpec(n, k, 1),))
     values = {x: closed_form(kind, n, k, x) for x in xs}
     best = min(values.values()) if direction == "lower" else max(values.values())
     optimal = tuple(x for x in xs if values[x] == best)

@@ -132,16 +132,16 @@ def enumerate_connected_bipartite(n: int, cap: int = DEFAULT_CAP) -> Iterator[Gr
         yield from _classes_with_parts(s, n - s)
 
 
-def filter_by_cut_edges(graphs: Iterable[Graph], k: int) -> list[Graph]:
-    return [g for g in graphs if len(bridges(g)) == k]
-
-
 def _by_cut_edges(graphs: Iterable[Graph], ks: list[int]) -> dict[int, list[Graph]]:
     """Each k in ks, in order, with the graphs that have k cut edges; no other graph is kept."""
     groups: dict[int, list[Graph]] = {k: [] for k in ks}
     for g in graphs:
         groups.get(len(bridges(g)), []).append(g)
     return groups
+
+
+def filter_by_cut_edges(graphs: Iterable[Graph], k: int) -> list[Graph]:
+    return _by_cut_edges(graphs, [k])[k]
 
 
 def _best_multi(
@@ -215,15 +215,6 @@ class VerificationReport:
         )
 
 
-def bound_rows(n: int, ks: Iterable[int] | None = None) -> list[int]:
-    """Cut edge counts the bounds cover at this n, kept to ks if given."""
-    rows = list(bound_cut_edge_counts(n))
-    if ks is not None:
-        wanted = set(ks)
-        rows = [k for k in rows if k in wanted]
-    return rows
-
-
 def verification_sweep(
     ns: Iterable[int],
     kinds: Iterable[IndexKind] | None = None,
@@ -246,7 +237,7 @@ def verification_sweep(
     plan = []
     for n in ns:
         _check_cap(n, cap)
-        plan.append((n, bound_rows(n, ks)))
+        plan.append((n, [k for k in bound_cut_edge_counts(n) if ks is None or k in ks]))
     if ks is not None:
         missing = ks.difference(*(rows for _, rows in plan))
         if missing:

@@ -10,6 +10,10 @@ indices in a known direction:
 * shift_pendants_across_parts: move the pendants sitting on the large-part
   vertex of a doubly decorated core over to the small-part vertex.
 
+cut_edge_context walks u's shore, the vertices u reaches without w, and
+reads the cut edge off it: (u, w) is one iff u is w's only neighbor there.
+contract_bridge writes the merged neighbor masks directly.
+
 Each contract is one expectation map from every index to either its exact
 delta (a Fraction, where a closed form is known) or the sign the delta
 must have ("<0", ">0" or ">=0"); holds() is the one check of a delta
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructors import DecoratedCore, Infeasible
-from .graphs import Graph, _check_vertex, add_edge, bridges, is_connected, layers, new_graph
+from .graphs import Graph, _check_vertex, add_edge, is_connected, layers
 from .indices import IndexKind, all_indices
 
 EDGE_ADDITION_SIGNS: dict[IndexKind, Fraction | str] = {
@@ -59,10 +63,11 @@ def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
     _check_vertex(g.n, w)
     if not is_connected(g):
         raise ValueError("cut edge context needs a connected graph")
-    if (min(u, w), max(u, w)) not in bridges(g):
-        raise ValueError(f"({u}, {w}) is not a cut edge")
     # every path from u that avoids w avoids the cut edge: that is u's side
     side = sum(layers(g.adj, u, within=~(1 << w)))
+    # a cut edge iff u is w's only neighbor there: another closes a cycle through (u, w)
+    if g.adj[w] & side != 1 << u:
+        raise ValueError(f"({u}, {w}) is not a cut edge")
     side_u = frozenset(v for v in range(g.n) if side >> v & 1)
     side_w = frozenset(range(g.n)) - side_u
     if len(side_u) < 2 or len(side_w) < 2:
@@ -78,25 +83,17 @@ def contract_bridge(ctx: CutEdgeContext) -> Graph:
     their relative order, the new pendant becomes n-1.
     """
     g, u, w = ctx.graph, ctx.u, ctx.w
-    relab = {}
-    nxt = 0
-    for v in range(g.n):
-        if v == w:
-            continue
-        relab[v] = nxt
-        nxt += 1
-    edges = []
-    for a, b in g.edges():
-        if w in (a, b):
-            continue
-        edges.append((relab[a], relab[b]))
-    for z in range(g.n):
-        # reattach w's neighbors to u; a shared neighbor would mean a cycle
-        # through the cut edge, so no duplicate can arise
-        if z != u and g.has_edge(w, z):
-            edges.append((relab[u], relab[z]))
-    edges.append((relab[u], g.n - 1))
-    return new_graph(g.n, edges)
+    moved = g.adj[w] & ~(1 << u)  # w's other neighbors, reattached to u
+    low = (1 << w) - 1
+    adj = []
+    for v, mask in enumerate(g.adj):
+        if v != w:
+            mask |= moved if v == u else (moved >> v & 1) << u
+            adj.append(mask & low | mask >> (w + 1) << w)  # drop bit w, shift higher labels down
+    root = u - (u > w)
+    adj[root] |= 1 << (g.n - 1)
+    adj.append(1 << root)
+    return Graph(g.n, tuple(adj))
 
 
 @dataclass(frozen=True, eq=False)

@@ -51,6 +51,12 @@ with transforms.holds: the exact value, or the sign, of every entry.
 decorated_core_graph builds a decorated core from its edge list under the
 fixed labeling (part X, then part Y, then each owner's pendants in owner
 order), which realize writes as masks directly; both must give equal graphs.
+
+contract_bridge is the cut-edge contraction bindex ran before it wrote the
+merged neighbor masks directly: it relabels through a dict, rebuilds the
+edge list without w, reattaches w's other neighbors to u, hangs the new
+pendant n-1 on u and passes it all through new_graph. Both must return the
+same Graph on every context cut_edge_context accepts.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ from bindex.graphs import (
     new_graph,
 )
 from bindex.indices import IndexKind, all_indices
-from bindex.transforms import holds
+from bindex.transforms import CutEdgeContext, holds
 
 
 def canonical_columns(g: Graph) -> list[int]:
@@ -451,3 +457,29 @@ def decorated_core_graph(core: DecoratedCore) -> Graph:
         edges.extend((owner, p) for p in range(label, label + count))
         label += count
     return new_graph(label, edges)
+
+
+def contract_bridge(ctx: CutEdgeContext) -> Graph:
+    """Identify the ends of the cut edge and hang a new pendant on the merge,
+    through an edge list: w disappears, the survivors keep their order, the
+    new pendant becomes n-1."""
+    g, u, w = ctx.graph, ctx.u, ctx.w
+    relab = {}
+    nxt = 0
+    for v in range(g.n):
+        if v == w:
+            continue
+        relab[v] = nxt
+        nxt += 1
+    edges = []
+    for a, b in g.edges():
+        if w in (a, b):
+            continue
+        edges.append((relab[a], relab[b]))
+    for z in range(g.n):
+        # reattach w's neighbors to u; a shared neighbor would mean a cycle
+        # through the cut edge, so no duplicate can arise
+        if z != u and g.has_edge(w, z):
+            edges.append((relab[u], relab[z]))
+    edges.append((relab[u], g.n - 1))
+    return new_graph(g.n, edges)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,11 @@ def test_bk_spec_validation():
     ]:
         with pytest.raises(Infeasible):
             BkSpec(n, k, x)
+    # x must be an integer of admissible_x, not merely lie between its ends
+    for x, text, y in [(Fraction(5, 2), "5/2", "9/2"), (2.5, "2.5", "4.5")]:
+        with pytest.raises(Infeasible, match=rf"^x={text} violates 2 <= x <= n-k-x = {y} for n=9, k=2$"):
+            BkSpec(9, 2, x)
+    assert BkSpec(9, 2, Fraction(3)).y == 4
 
 
 def test_b_graph_small_example():

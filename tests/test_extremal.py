@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -55,9 +56,12 @@ def test_closed_form_rejects_bad_parameters():
     for n, k, x in [(9, 7, 2), (9, 6, 2), (9, 0, 2), (9, 9, 2), (4, 1, 2)]:
         with pytest.raises(Infeasible):
             closed_form(W, n, k, x)
-    for x in (1, 4, 0, -2):  # admissible x at (9, 2) is 2..3
-        with pytest.raises(Infeasible):
+    for x in (1, 4, 0, -2, F(5, 2), 2.5):  # admissible x at (9, 2) is 2..3
+        message = f"x={x} not admissible for n=9, k=2: need integer 2 <= x <= n-k-x"
+        with pytest.raises(Infeasible, match=f"^{re.escape(message)}$"):
             closed_form(W, 9, 2, x)
+    for kind in IndexKind:  # an integral Fraction is the integer it equals
+        assert closed_form(kind, 9, 2, F(3)) == closed_form(kind, 9, 2, 3)
 
 
 def test_admissible_x():

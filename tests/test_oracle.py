@@ -24,12 +24,14 @@ from bindex.constructors import (
     BkSpec,
     DecoratedCore,
     Infeasible,
+    admissible_x,
     b_graph,
+    bound_cut_edge_counts,
     complete_bipartite,
     realize,
     star,
 )
-from bindex.extremal import admissible_x, optimize
+from bindex.extremal import optimize
 from bindex.graphs import bridges, certificate, graph6_encode, is_connected, new_graph
 from bindex.indices import IndexKind, compute
 from bindex.oracle import (
@@ -40,7 +42,6 @@ from bindex.oracle import (
     labeled_class_certificates,
     labeled_connected_bipartite_masks,
     load_reports,
-    bound_rows,
     verification_sweep,
     verify_bound,
 )
@@ -150,6 +151,7 @@ def test_cut_edge_histogram_n6():
         by_k.setdefault(len(bridges(g)), []).append(g)
     assert {k: len(v) for k, v in by_k.items()} == {0: 5, 1: 2, 2: 4, 5: 6}
     assert filter_by_cut_edges(enumerate_connected_bipartite(6), 2) == by_k[2]
+    assert filter_by_cut_edges(enumerate_connected_bipartite(6), 3) == []
 
 
 def test_verify_bound_known_optimum():
@@ -235,7 +237,7 @@ def test_verify_bound_infeasible_k():
 
 def test_verify_bound_is_the_sweep_row():
     sweep = {(r.index, r.n, r.k): r for r in verification_sweep(range(5, 9))}
-    assert len(sweep) == sum(len(bound_rows(n)) for n in range(5, 9)) * len(IndexKind)
+    assert len(sweep) == sum(len(bound_cut_edge_counts(n)) for n in range(5, 9)) * len(IndexKind)
     for (kind, n, k), row in sweep.items():
         assert verify_bound(kind, n, k) == row
 
@@ -261,10 +263,11 @@ def test_verification_sweep_keeps_k_that_fits_some_n():
 
 
 def test_bound_rows():
-    assert bound_rows(8) == [1, 2, 3, 4, 7]
-    assert bound_rows(8, ks=[2, 7]) == [2, 7]
-    with pytest.raises(Infeasible, match=r"^bounds defined for n>=5, got n=4$"):
-        bound_rows(4)
+    assert bound_cut_edge_counts(8) == (1, 2, 3, 4, 7)
+    assert [(r.n, r.k) for r in verification_sweep([8], [W], ks=[7, 2])] == [(8, 2), (8, 7)]
+    for rows in (lambda: bound_cut_edge_counts(4), lambda: verification_sweep([4])):
+        with pytest.raises(Infeasible, match=r"^bounds defined for n>=5, got n=4$"):
+            rows()
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -274,7 +277,7 @@ def test_enumeration_below_one_vertex_is_infeasible(n):
 
 
 def test_verify_bound_rows_match():
-    for k in bound_rows(8):
+    for k in bound_cut_edge_counts(8):
         report = verify_bound(W, 8, k)
         assert report.matched, k
         assert report.verdict == "match"
@@ -284,7 +287,7 @@ def test_verify_bound_rows_match():
 
 def test_verification_sweep_streams_and_skips():
     reports = list(verification_sweep([5]))
-    assert len(reports) == len(bound_rows(5)) * len(IndexKind)
+    assert len(reports) == len(bound_cut_edge_counts(5)) * len(IndexKind)
     assert all(r.matched for r in reports)
     order = list(IndexKind)
     keys = [(r.index.value, r.n, r.k) for r in reports]
@@ -340,7 +343,7 @@ def test_committed_rows_match_the_bounds(size, count):
     # written once by `bindex verify --n 12 --cap 12 --out tests/golden/verify_n12.jsonl`
     # and the same at n = 13; read back, never re-enumerated (212780 and 2241730 classes)
     rows = load_reports(Path(__file__).parent / "golden" / f"verify_n{size}.jsonl")
-    assert sorted(rows) == sorted((kind.value, size, k) for kind in IndexKind for k in bound_rows(size))
+    assert sorted(rows) == sorted((kind.value, size, k) for kind in IndexKind for k in bound_cut_edge_counts(size))
     assert len(rows) == count
     for (index, n, k), row in rows.items():
         bound = optimize(IndexKind(index), n, k)

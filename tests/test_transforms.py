@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from bindex import indices
 from bindex.constructors import DecoratedCore, Infeasible, realize, star
-from bindex.graphs import certificate, new_graph
+from bindex.graphs import bridges, certificate, is_connected, new_graph
 from bindex.indices import IndexKind, all_indices, compute
+from bindex.oracle import enumerate_connected_bipartite
 from bindex.transforms import (
     EDGE_ADDITION_SIGNS,
     contract_bridge,
@@ -22,7 +24,8 @@ from bindex.transforms import (
     shift_pendants_across_parts,
     shift_pendants_within_part,
 )
-from conftest import random_bridge_context, scrambled
+import reference
+from conftest import outcome, random_bridge_context, random_connected_bipartite, scrambled
 from reference import contract_holds, index_deltas
 
 F = Fraction
@@ -99,6 +102,56 @@ def test_cut_edge_context_rejects_bad_input():
             cut_edge_context(path(4), u, w)
 
 
+def _shore(g, u, w):
+    """u's component once the edge (u, w) is deleted, by a plain search."""
+    seen, todo = {u}, [u]
+    while todo:
+        a = todo.pop()
+        for b in g.neighbors(a):
+            if {a, b} != {u, w} and b not in seen:
+                seen.add(b)
+                todo.append(b)
+    return frozenset(seen)
+
+
+def _connected_classes(n):
+    """One graph per isomorphism class of connected graphs on n labeled vertices."""
+    pairs = list(combinations(range(n), 2))
+    found = {}
+    for mask in range(1 << len(pairs)):
+        g = new_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+        if is_connected(g):
+            found.setdefault(certificate(g), g)
+    return list(found.values())
+
+
+def test_cut_edge_context_decides_every_ordered_pair():
+    # every connected bipartite class to n = 7, every connected class to
+    # n = 5 (odd cycles too), and seeded graphs; all pairs, u == w included
+    rng = random.Random(19)
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_bipartite(n)]
+    graphs += [g for n in range(1, 6) for g in _connected_classes(n)]
+    graphs += [random_connected_bipartite(rng) for _ in range(40)]
+    graphs += [random_bridge_context(rng).graph for _ in range(40)]
+    accepted = 0
+    for g in graphs:
+        cut = bridges(g)
+        for u in range(g.n):
+            for w in range(g.n):
+                ctx = outcome(lambda pair: cut_edge_context(g, *pair), (u, w))
+                if (min(u, w), max(u, w)) not in cut:
+                    assert ctx == ("ValueError", f"({u}, {w}) is not a cut edge"), (g, u, w)
+                    continue
+                side = _shore(g, u, w)
+                if min(len(side), g.n - len(side)) < 2:
+                    assert ctx == ("ValueError", "both sides of the cut edge must have at least 2 vertices")
+                    continue
+                assert (ctx.side_u, ctx.side_w) == (side, frozenset(range(g.n)) - side)
+                assert contract_bridge(ctx) == reference.contract_bridge(ctx), (g, u, w)
+                accepted += 1
+    assert accepted == 254  # contexts with two vertices or more on each shore
+
+
 def test_contract_bridge_directions_on_seeded_contexts():
     rng = random.Random(2024)
     for _ in range(200):
@@ -139,6 +192,7 @@ def bridge_contexts(draw):
 @example(cut_edge_context(path(4), 1, 2))
 def test_contract_bridge_contract_on_any_bridge(ctx):
     after = contract_bridge(ctx)
+    assert after == reference.contract_bridge(ctx)
     assert after.n == ctx.graph.n
     assert after.edge_count == ctx.graph.edge_count
     deltas = index_deltas(ctx.graph, after)
