@@ -210,29 +210,23 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
     evaluate the polynomial there. With --reconcile, put the fixed table
     answer and all its disagreements alongside.
     """
-    kinds = _kinds(index_sel)
-    rows = []
+    if x is not None and do_reconcile:
+        raise click.UsageError("--reconcile cannot be combined with --x")
     if x is not None:
-        if do_reconcile:
-            raise click.UsageError("--reconcile cannot be combined with --x")
         columns = ["index", "n", "k", "x", "value"]
-        for kind in kinds:
-            rows.append(
-                {
-                    "index": kind.value,
-                    "n": n,
-                    "k": k,
-                    "x": x,
-                    "value": str(closed_form(kind, n, k, x)),
-                }
-            )
-        _emit(rows, columns, fmt)
-        return
-    columns = ["index", "n", "k", "direction", "value", "optimal_x", "family"]
+    else:
+        columns = ["index", "n", "k", "direction", "value", "optimal_x", "family"]
     if do_reconcile:
         columns += ["clause", "relation", "table_value", "table_x", "consistent", "notes"]
-    for kind in kinds:
-        bound = optimize(kind, n, k)
+    rows = []
+    for kind in _kinds(index_sel):
+        if x is not None:
+            rows.append(
+                {"index": kind.value, "n": n, "k": k, "x": x, "value": str(closed_form(kind, n, k, x))}
+            )
+            continue
+        rec = reconcile(kind, n, k) if do_reconcile else None
+        bound = rec.computed if rec else optimize(kind, n, k)
         row = {
             "index": kind.value,
             "n": n,
@@ -242,8 +236,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
             "optimal_x": ";".join(str(v) for v in bound.optimal_x),
             "family": ";".join(spec.label() for spec in bound.family),
         }
-        if do_reconcile:
-            rec = reconcile(kind, n, k)
+        if rec:
             row["clause"] = rec.table.label
             row["relation"] = rec.table.relation
             row["table_value"] = str(rec.table.value)
@@ -305,11 +298,12 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict) -> None:
 @_fmt_option(default="graph6", extra=("graph6",))
 def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
     """List connected bipartite classes as sorted canonical graph6 lines."""
-    if k is not None and k not in feasible_cut_edge_counts(n):
-        ks = ", ".join(map(str, feasible_cut_edge_counts(n)))
-        raise Infeasible(f"no connected bipartite graph on n={n} vertices has k={k} cut edges (feasible k: {ks})")
-    graphs = list(enumerate_connected_bipartite(n, cap))
+    graphs = enumerate_connected_bipartite(n, cap)  # lazy: nothing runs before the k check
     if k is not None:
+        feasible = feasible_cut_edge_counts(n)
+        if k not in feasible:
+            ks = ", ".join(map(str, feasible))
+            raise Infeasible(f"no connected bipartite graph on n={n} vertices has k={k} cut edges (feasible k: {ks})")
         graphs = filter_by_cut_edges(graphs, k)
     pairs = sorted(
         ((certificate(g, limit=cap).decode("ascii"), g) for g in graphs), key=lambda p: p[0]

@@ -6,7 +6,9 @@ Two independent layers:
   (constructors.admissible_x, re-exported here) and returns the true
   optimum with all optimal parameters, or S_n's value on the tree row;
 * case_table() reproduces a fixed residue-indexed table of closed-form
-  answers, kept verbatim, quirks included.
+  answers, kept verbatim, quirks included. Which printed optimizers give
+  a realizable family is decided by admissible_x as well: the table's x
+  values that lie in its range, or S_n on the tree row.
 
 reconcile() compares the two and reports every disagreement instead of
 patching the table: the star rows of W, CEI and EDS carry wrong values,
@@ -117,18 +119,11 @@ class CaseRow:
 def _row(
     kind: IndexKind, n: int, k: int, clause: int, value, xs: tuple[Fraction, ...]
 ) -> CaseRow:
-    family = []
-    valid = True
-    if not xs and k == n - 1:
-        family.append(BkSpec(n, k, 1))  # the tree row's extremal graph is S_n
-    for x in xs:
-        if x.denominator == 1:
-            try:
-                family.append(BkSpec(n, k, int(x)))
-                continue
-            except Infeasible:
-                pass
-        valid = False
+    admissible = admissible_x(n, k)
+    if admissible:
+        family = tuple(BkSpec(n, k, int(x)) for x in xs if x in admissible)
+    else:
+        family = (BkSpec(n, k, 1),)  # the tree row's extremal graph is S_n
     return CaseRow(
         f"{kind.value}.{_ROMAN[clause - 1]}",
         n,
@@ -136,8 +131,8 @@ def _row(
         TABLE_RELATION[kind],
         Fraction(value),
         xs,
-        tuple(family),
-        valid,
+        family,
+        all(x in admissible for x in xs),
     )
 
 
@@ -230,9 +225,6 @@ def case_table(kind: IndexKind, n: int, k: int) -> CaseRow:
 class Reconciliation:
     """Direct optimization vs the fixed table, with every disagreement listed."""
 
-    index: IndexKind
-    n: int
-    k: int
     computed: BoundResult
     table: CaseRow
     value_match: bool
@@ -249,9 +241,8 @@ def reconcile(kind: IndexKind, n: int, k: int) -> Reconciliation:
     computed = optimize(kind, n, k)
     row = case_table(kind, n, k)
     value_match = row.value == computed.value
-    fam_table = {(s.n, s.k, s.x) for s in row.family}
-    fam_opt = {(s.n, s.k, s.x) for s in computed.family}
-    family_match = row.family_valid and fam_table == fam_opt
+    same_family = set(row.family) == set(computed.family)
+    family_match = row.family_valid and same_family
     derived = ">=" if computed.direction == "lower" else "<="
     direction_conflict = row.relation != derived
     notes = []
@@ -268,7 +259,7 @@ def reconcile(kind: IndexKind, n: int, k: int) -> Reconciliation:
             notes.append(f"table optimizer x = {bad} is not an integer")
         else:
             notes.append("table optimizer x is not realizable")
-    elif fam_table != fam_opt:
+    elif not same_family:
         notes.append(
             "table family {"
             + ", ".join(sorted(s.label() for s in row.family))
@@ -277,7 +268,7 @@ def reconcile(kind: IndexKind, n: int, k: int) -> Reconciliation:
             + "}"
         )
     return Reconciliation(
-        kind, n, k, computed, row, value_match, family_match, direction_conflict, tuple(notes)
+        computed, row, value_match, family_match, direction_conflict, tuple(notes)
     )
 
 

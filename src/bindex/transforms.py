@@ -16,7 +16,7 @@ contract_bridge writes the merged neighbor masks directly.
 
 Each contract is one expectation map from every index to either its exact
 delta (a Fraction, where a closed form is known) or the sign the delta
-must have ("<0", ">0" or ">=0"); holds() is the one check of a delta
+must have ("<0" or ">0"); holds() is the one check of a delta
 against its entry. EDGE_ADDITION_SIGNS is the edge addition law (W, WW,
 EDS fall, H and CEI rise), read off IndexKind.decreases_when_edges_added;
 contract_bridge also obeys it and monotonicity_probe checks it on sampled
@@ -39,9 +39,9 @@ EDGE_ADDITION_SIGNS: dict[IndexKind, Fraction | str] = {
 
 
 def holds(delta, want: Fraction | str) -> bool:
-    """Whether delta meets want: an exact value, or a sign "<0", ">0" or ">=0"."""
+    """Whether delta meets want: an exact value, or a sign "<0" or ">0"."""
     if isinstance(want, str):
-        return {"<0": delta < 0, ">0": delta > 0, ">=0": delta >= 0}[want]
+        return {"<0": delta < 0, ">0": delta > 0}[want]
     return delta == want
 
 

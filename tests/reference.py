@@ -57,6 +57,12 @@ merged neighbor masks directly: it relabels through a dict, rebuilds the
 edge list without w, reattaches w's other neighbors to u, hangs the new
 pendant n-1 on u and passes it all through new_graph. Both must return the
 same Graph on every context cut_edge_context accepts.
+
+case_table_family is how bindex's case table decided a row's family before
+it asked admissible_x: each printed x must have denominator 1 and survive
+BkSpec, whose Infeasible marks the row invalid, and an x-free row with
+k = n-1 gets S_n. case_table must give the same family and validity on
+every bound row.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from itertools import combinations, permutations
 from operator import add
 from typing import Iterator
 
-from bindex.constructors import DecoratedCore
+from bindex.constructors import BkSpec, DecoratedCore, Infeasible
 from bindex.graphs import (
     UNREACHABLE,
     Graph,
@@ -483,3 +489,23 @@ def contract_bridge(ctx: CutEdgeContext) -> Graph:
             edges.append((relab[u], relab[z]))
     edges.append((relab[u], g.n - 1))
     return new_graph(g.n, edges)
+
+
+def case_table_family(
+    n: int, k: int, xs: tuple[Fraction, ...]
+) -> tuple[tuple[BkSpec, ...], bool]:
+    """The realizable family of a table row printing optimizers xs, and
+    whether every printed x is realizable."""
+    family = []
+    valid = True
+    if not xs and k == n - 1:
+        family.append(BkSpec(n, k, 1))
+    for x in xs:
+        if x.denominator == 1:
+            try:
+                family.append(BkSpec(n, k, int(x)))
+                continue
+            except Infeasible:
+                pass
+        valid = False
+    return tuple(family), valid

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from bindex.constructors import BkSpec, Infeasible, b_graph, feasible_cut_edge_counts, star
+from bindex.constructors import (
+    BkSpec,
+    Infeasible,
+    b_graph,
+    bound_cut_edge_counts,
+    feasible_cut_edge_counts,
+    star,
+)
 from bindex.extremal import (
     TABLE_RELATION,
     admissible_x,
@@ -18,6 +25,7 @@ from bindex.extremal import (
     star_value,
 )
 from bindex.indices import IndexKind, all_indices, compute
+from reference import case_table_family
 
 F = Fraction
 
@@ -148,6 +156,18 @@ def test_case_table_totality_and_shape():
                     assert row.family
                     for spec in row.family:
                         assert spec.n == n and spec.k == k
+
+
+def test_case_table_family_matches_the_reference_rule():
+    invalid = 0
+    for n in range(5, 61):
+        for k in bound_cut_edge_counts(n):
+            for kind in IndexKind:
+                row = case_table(kind, n, k)
+                expected = case_table_family(n, k, row.x_values)
+                assert (row.family, row.family_valid) == expected, (kind, n, k)
+                invalid += not row.family_valid
+    assert invalid  # the fractional WW optimizers are among the rows compared
 
 
 def test_table_relations():

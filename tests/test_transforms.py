@@ -54,8 +54,8 @@ def edge_addition_law_holds(deltas):
         (0, "<0", False),
         (F(1, 6), ">0", True),
         (0, ">0", False),
-        (0, ">=0", True),
-        (F(-1, 4), ">=0", False),
+        (0, F(0), True),  # an exact zero, as the within-part shift gives CEI
+        (F(-1, 4), "<0", True),
         (F(-12), F(-12), True),
         (-12, F(-11), False),
         (2, F(2), True),
@@ -63,6 +63,11 @@ def edge_addition_law_holds(deltas):
 )
 def test_holds_checks_an_exact_value_or_a_sign(delta, want, expected):
     assert holds(delta, want) is expected
+
+
+def test_holds_knows_no_non_strict_sign():
+    with pytest.raises(KeyError):
+        holds(0, ">=0")
 
 
 def test_contract_bridge_turns_p4_into_star():
