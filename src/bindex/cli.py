@@ -273,12 +273,17 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict) -> None:
     written = 0
     mismatched = []
     sink = open(out, "a" if known else "w", encoding="ascii") if out else nullcontext()
-    with sink as fh:
-        for report in reports:
-            click.echo(json.dumps(report.to_dict()), file=fh)  # echo flushes
-            written += 1
-            if not report.matched:
-                mismatched.append(report)
+    try:
+        with sink as fh:
+            for report in reports:
+                click.echo(json.dumps(report.to_dict()), file=fh)  # echo flushes
+                written += 1
+                if not report.matched:
+                    mismatched.append(report)
+    except OSError as e:
+        if not out:
+            raise  # stdout: main handles a closed pipe
+        raise OSError(f"cannot write {out}: {e}") from e
     if out:
         click.echo(f"wrote {written} rows to {out}", err=True)
     mismatched += [r for r in known.values() if not r.matched]
@@ -313,7 +318,8 @@ def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
             click.echo(cert)
         return
     rows = [
-        {"graph6": cert, "n": g.n, "m": g.edge_count, "cut_edges": len(bridges(g))}
+        # with --k, every kept graph has exactly k cut edges
+        {"graph6": cert, "n": g.n, "m": g.edge_count, "cut_edges": len(bridges(g)) if k is None else k}
         for cert, g in pairs
     ]
     _emit(rows, ["graph6", "n", "m", "cut_edges"], fmt)

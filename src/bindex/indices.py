@@ -15,13 +15,20 @@ cost four BFS runs and four rows at any size. Each BFS stops as soon as
 every vertex is seen and finds each layer top-down from the frontier or
 bottom-up from the unseen vertices, whichever tests fewer vertices; on the
 dense, twin-poor graphs of a random stream that cuts the vertex steps by 44%
-(1,621,008 -> 914,002 over 1730 graphs of 9 to 60 vertices). The pass
-aggregates integer counts first and divides exactly at the end, so sweeps
-over thousands of graphs stay cheap and no floats appear anywhere.
+(1,621,008 -> 914,002 over 1730 graphs of 9 to 60 vertices).
+
+The rows are tallied into ordered pairs per distance and degree per
+eccentricity, both only up to the diameter, and one loop over d = 1..diam
+turns the tallies into integer sums. Every distance and every eccentricity
+lies in 1..diam, so L = lcm(1..diam) is a common denominator of every term
+of H and CEI: each is one integer numerator over L (2L for H), taking one
+exact division instead of a Fraction normalization per term. No floats
+appear anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable
@@ -118,10 +125,12 @@ def all_indices(
     raises ValueError; so does K_1, but only when CEI is requested
     (its eccentricity is zero, so no degree/eccentricity ratio exists).
     """
-    at_distance = [0] * g.n  # ordered pairs of vertices at each distance
-    degree_at_ecc = [0] * g.n  # summed degree of the vertices of each eccentricity
+    rows = _profile(g)
+    diam = max((ecc for _, _, ecc, _ in rows), default=0)
+    at_distance = [0] * (diam + 1)  # ordered pairs of vertices at each distance
+    degree_at_ecc = [0] * (diam + 1)  # summed degree of the vertices of each eccentricity
     eds = 0
-    for members, degree, ecc, counts in _profile(g):
+    for members, degree, ecc, counts in rows:
         size = members.bit_count()
         trans = 0
         for d, c in enumerate(counts):
@@ -129,27 +138,30 @@ def all_indices(
             at_distance[d] += size * c
         degree_at_ecc[ecc] += size * degree
         eds += size * ecc * trans
+    # every distance and eccentricity divides lcm(1..diam): H and CEI are
+    # one integer numerator each over it, normalized once
+    lcm = math.lcm(*range(1, diam + 1))
+    sum_d = sum_d2 = h_num = cei_num = 0
+    for d in range(1, diam + 1):
+        c = at_distance[d]
+        sum_d += d * c
+        sum_d2 += d * d * c
+        share = lcm // d
+        h_num += share * c
+        cei_num += share * degree_at_ecc[d]
+    computed = {
+        IndexKind.W: sum_d // 2,
+        # each unordered pair appears twice, and d + d^2 is even
+        IndexKind.WW: (sum_d + sum_d2) // 4,
+        IndexKind.H: Fraction(h_num, 2 * lcm),
+        IndexKind.CEI: Fraction(cei_num, lcm),
+        IndexKind.EDS: eds,
+    }
     values: dict[IndexKind, int | Fraction] = {}
     for kind in kinds:
-        if kind is IndexKind.W:
-            values[kind] = sum(d * c for d, c in enumerate(at_distance)) // 2
-        elif kind is IndexKind.WW:
-            # each unordered pair appears twice, and d + d^2 is even
-            values[kind] = sum((d + d * d) * c for d, c in enumerate(at_distance)) // 4
-        elif kind is IndexKind.H:
-            values[kind] = sum(
-                (Fraction(c, 2 * d) for d, c in enumerate(at_distance) if d and c),
-                Fraction(0),
-            )
-        elif kind is IndexKind.CEI:
-            if g.n == 1:
-                raise ValueError("cei undefined: eccentricity zero (single vertex)")
-            values[kind] = sum(
-                (Fraction(deg, e) for e, deg in enumerate(degree_at_ecc) if deg),
-                Fraction(0),
-            )
-        else:
-            values[kind] = eds
+        if kind is IndexKind.CEI and g.n == 1:
+            raise ValueError("cei undefined: eccentricity zero (single vertex)")
+        values[kind] = computed[kind]
     return values
 
 

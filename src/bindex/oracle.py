@@ -57,7 +57,10 @@ DEFAULT_CAP = 9
 def _check_cap(n: int, cap: int) -> None:
     """The one size guard: enumeration and certificates both stop at cap."""
     if n > cap:
-        raise ValueError(f"n={n} above cap={cap}: raise cap explicitly for big sweeps")
+        raise ValueError(
+            f"n={n} above cap={cap}: raise the cap argument (--cap on the command line)"
+            " explicitly for big sweeps"
+        )
 
 
 def _classes_with_parts(s: int, t: int) -> Iterator[Graph]:
@@ -153,6 +156,7 @@ def _best_multi(
     exactly, so values are kept as all_indices returns them.
     """
     kinds = list(kinds)
+    lower = {kind: kind.bound_direction == "lower" for kind in kinds}
     best: dict[IndexKind, tuple[int | Fraction, list[Graph]]] = {}
     for g in candidates:
         # kinds by keyword: benchmarks/spans.py takes the last positional argument for the graph
@@ -162,7 +166,7 @@ def _best_multi(
                 best[kind] = (v, [g])
             elif v == cur[0]:
                 cur[1].append(g)
-            elif (v < cur[0]) == (kind.bound_direction == "lower"):
+            elif (v < cur[0]) == lower[kind]:
                 best[kind] = (v, [g])
     return best
 

@@ -44,6 +44,14 @@ CEI, computed from a plain BFS distance row of every vertex (_distance_rows).
 They share no code with the twin-class profile of all_indices, so both
 identities must hold on every connected graph.
 
+per_source_profile and indices_from_rows are the plain index path: a full
+BFS distance row from every vertex, tallied into (degree, eccentricity,
+transmission, count per distance), then the five indices summed vertex by
+vertex, H and CEI one Fraction per term. They share no code with the
+twin-class profile of all_indices or with its tallies over one common
+denominator, so both must give the same values and types on every
+connected graph.
+
 index_deltas takes after minus before of every index with all_indices, and
 contract_holds checks such a delta map against a surgery's expectation map
 with transforms.holds: the exact value, or the sign, of every entry.
@@ -415,11 +423,35 @@ def relabel(g: Graph, mapping) -> Graph:
 
 
 def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
-    """A plain BFS distance row from every vertex, for the two forms below."""
+    """A plain BFS distance row from every vertex, for the index paths below."""
     rows = [distances_from(g, u) for u in range(g.n)]
     if any(UNREACHABLE in row for row in rows):
         raise ValueError("index undefined: graph is disconnected")
     return rows
+
+
+def per_source_profile(g: Graph) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """(degree, eccentricity, transmission, count per distance) of every vertex."""
+    rows = []
+    for u, dist in enumerate(_distance_rows(g)):
+        ecc = max(dist)
+        counts = [0] * (ecc + 1)
+        for d in dist:
+            counts[d] += 1
+        rows.append((g.degree(u), ecc, sum(dist), tuple(counts)))
+    return tuple(rows)
+
+
+def indices_from_rows(rows) -> dict[IndexKind, int | Fraction]:
+    """The five indices summed vertex by vertex from per_source_profile rows."""
+    pairs = [(d, c) for _, _, _, counts in rows for d, c in enumerate(counts) if d]
+    return {
+        IndexKind.W: sum(d * c for d, c in pairs) // 2,
+        IndexKind.WW: sum((d + d * d) * c for d, c in pairs) // 4,
+        IndexKind.H: sum((Fraction(c, 2 * d) for d, c in pairs), Fraction(0)),
+        IndexKind.CEI: sum((Fraction(degree, ecc) for degree, ecc, _, _ in rows), Fraction(0)),
+        IndexKind.EDS: sum(ecc * trans for _, ecc, trans, _ in rows),
+    }
 
 
 def eds_by_pairs(g: Graph) -> int:

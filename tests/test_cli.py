@@ -27,7 +27,7 @@ from click.testing import CliRunner
 
 from bindex import cli, indices
 from bindex.constructors import BkSpec, b_graph, star
-from bindex.graphs import graph6_encode, new_graph
+from bindex.graphs import bridges, graph6_decode, graph6_encode, new_graph
 from bindex.indices import IndexKind
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -333,6 +333,22 @@ def test_verify_streams_rows_so_an_interrupted_run_can_resume(tmp_path, monkeypa
     assert len({(r["index"], r["n"], r["k"]) for r in rows}) == len(rows) == 10
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_verify_names_the_out_file_it_cannot_write():
+    res = run("verify", "--n", "5", "--out", "/dev/full")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+def test_enumerate_above_cap_names_the_option():
+    res = run("enumerate", "--n", "10")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "error: n=10 above cap=9: raise the cap argument (--cap on the command line)"
+        " explicitly for big sweeps\n"
+    )
+
+
 @pytest.mark.parametrize(
     "golden, args, stdin",
     [
@@ -404,6 +420,25 @@ def test_enumerate_counts_and_fields():
     rows = json.loads(res.stdout)
     assert len(rows) == 4
     assert all(r["cut_edges"] == 2 for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_enumerate_k_writes_k_without_running_bridges_again(monkeypatch, fmt):
+    # the filter already kept only graphs with k cut edges; the cut_edges
+    # column is k, and each row still agrees with a fresh bridges count
+    def rows(*args):
+        res = CliRunner().invoke(cli.cli, ["enumerate", "--n", "7", *args, "--format", fmt])
+        assert res.exit_code == 0, res.output
+        return parse_csv(res.stdout) if fmt == "csv" else json.loads(res.stdout)
+
+    everyone = rows()
+    calls = []
+    monkeypatch.setattr(cli, "bridges", lambda g: calls.append(g) or bridges(g))
+    kept = rows("--k", "1")
+    assert calls == []
+    assert kept == [row for row in everyone if str(row["cut_edges"]) == "1"]
+    assert len(kept) == 8
+    assert all(len(bridges(graph6_decode(row["graph6"]))) == 1 for row in kept)
 
 
 @pytest.mark.parametrize("args", [["--n", "0"], ["--n", "0", "--k", "0"]])

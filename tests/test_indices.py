@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.indices import IndexKind, _profile, all_indices, compute
-from bindex.graphs import UNREACHABLE, distances_from, is_connected, new_graph
+from bindex.graphs import is_connected, new_graph
 from bindex.oracle import enumerate_connected_bipartite
 from conftest import outcome, random_connected_bipartite
-from reference import cei_by_edges, eds_by_pairs
+from reference import cei_by_edges, eds_by_pairs, indices_from_rows, per_source_profile
 
 F = Fraction
 W, WW, H, CEI, EDS = IndexKind
@@ -26,6 +26,11 @@ def path(n):
 
 def cycle(n):
     return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def typed(values):
+    """Each value with its type: Fraction(2) == 2, so equality alone cannot tell."""
+    return [(kind, value, type(value)) for kind, value in values.items()]
 
 
 # rows of frozen values: graph -> (W, WW, H, CEI, EDS), recomputable by hand
@@ -78,7 +83,9 @@ def test_two_vertex_and_single_vertex():
     k1 = new_graph(1, [])
     assert compute(W, k1) == 0 and compute(WW, k1) == 0 and compute(H, k1) == 0
     assert compute(EDS, k1) == 0
-    assert all_indices(k1, (W, WW, H, EDS)) == {W: 0, WW: 0, H: 0, EDS: 0}
+    assert typed(all_indices(k1, (W, WW, H, EDS))) == [
+        (W, 0, int), (WW, 0, int), (H, 0, Fraction), (EDS, 0, int)
+    ]
     with pytest.raises(ValueError, match="cei undefined"):
         compute(CEI, k1)  # eccentricity zero: no degree/eccentricity ratio exists
     with pytest.raises(ValueError, match="cei undefined"):
@@ -107,22 +114,6 @@ def test_hyper_wiener_always_integral_here():
             assert isinstance(compute(WW, g), int)
 
 
-def per_source_profile(g):
-    """The reference profile: (degree, eccentricity, transmission, count per
-    distance) from a full BFS distance row of every vertex."""
-    rows = []
-    for u in range(g.n):
-        dist = distances_from(g, u)
-        if UNREACHABLE in dist:
-            raise ValueError("index undefined: graph is disconnected")
-        ecc = max(dist)
-        counts = [0] * (ecc + 1)
-        for d in dist:
-            counts[d] += 1
-        rows.append((g.degree(u), ecc, sum(dist), tuple(counts)))
-    return tuple(rows)
-
-
 def per_vertex_profile(g):
     """_profile's class rows copied out to each member, in the same shape."""
     rows = [None] * g.n
@@ -133,18 +124,6 @@ def per_vertex_profile(g):
                 assert rows[u] is None  # the classes partition the vertices
                 rows[u] = (degree, ecc, trans, counts)
     return tuple(rows)
-
-
-def indices_from_rows(rows):
-    """The five indices summed vertex by vertex from per-source rows."""
-    pairs = [(d, c) for _, _, _, counts in rows for d, c in enumerate(counts) if d]
-    return {
-        W: sum(d * c for d, c in pairs) // 2,
-        WW: sum((d + d * d) * c for d, c in pairs) // 4,
-        H: sum((F(c, 2 * d) for d, c in pairs), F(0)),
-        CEI: sum((F(degree, ecc) for degree, ecc, _, _ in rows), F(0)),
-        EDS: sum(ecc * trans for _, ecc, trans, _ in rows),
-    }
 
 
 def test_profile_matches_per_source_bfs_on_every_class():
@@ -183,16 +162,37 @@ def caterpillar(spine, legs):
 
 @pytest.mark.parametrize(
     "g",
-    [path(2), path(3), path(61), path(200), caterpillar(40, 80)]
-    + [random_tree(random.Random(seed), 30 + 40 * seed) for seed in range(4)],
-    ids=["P2", "P3", "P61", "P200", "caterpillar"] + [f"tree{seed}" for seed in range(4)],
+    [path(2), path(3), path(61), path(200), path(300), caterpillar(40, 80), caterpillar(100, 200)]
+    + [random_tree(random.Random(seed), 30 + 40 * seed) for seed in range(4)]
+    + [random_tree(random.Random(seed), 300) for seed in range(4, 6)],
+    ids=["P2", "P3", "P61", "P200", "P300", "caterpillar", "caterpillar300"]
+    + [f"tree{seed}" for seed in range(4)]
+    + [f"tree300_{seed}" for seed in range(4, 6)],
 )
 def test_profile_matches_per_source_bfs_on_paths_and_trees(g):
     # thin frontiers and many unseen vertices: the top-down step wins on
-    # nearly every layer, the bottom-up one only at the very end
+    # nearly every layer, the bottom-up one only at the very end; diameters
+    # up to 299 make the common denominator lcm(1..diam) of H and CEI a
+    # very large integer
     reference = per_source_profile(g)
     assert per_vertex_profile(g) == reference
-    assert all_indices(g) == indices_from_rows(reference)
+    assert typed(all_indices(g)) == typed(indices_from_rows(reference))
+
+
+@pytest.mark.parametrize(
+    "g, h, cei",
+    [(new_graph(2, [(0, 1)]), 1, 2), (star(5), 7, 6), (cycle(6), 10, 4), (path(3), F(5, 2), 3)],
+    ids=["K2", "star5", "C6", "P3"],
+)
+def test_rational_indices_stay_fractions_when_integral(g, h, cei):
+    values = all_indices(g)
+    assert typed(values) == [
+        (W, values[W], int),
+        (WW, values[WW], int),
+        (H, h, Fraction),
+        (CEI, cei, Fraction),
+        (EDS, values[EDS], int),
+    ]
 
 
 @st.composite
