@@ -282,8 +282,9 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict) -> None:
                     mismatched.append(report)
     except OSError as e:
         if not out:
-            raise  # stdout: main handles a closed pipe
-        raise OSError(f"cannot write {out}: {e}") from e
+            raise  # stdout: main handles it
+        click.echo(f"error: cannot write {out}: {e}", err=True)
+        sys.exit(1)
     if out:
         click.echo(f"wrote {written} rows to {out}", err=True)
     mismatched += [r for r in known.values() if not r.matched]
@@ -310,9 +311,7 @@ def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
             ks = ", ".join(map(str, feasible))
             raise Infeasible(f"no connected bipartite graph on n={n} vertices has k={k} cut edges (feasible k: {ks})")
         graphs = filter_by_cut_edges(graphs, k)
-    pairs = sorted(
-        ((certificate(g, limit=cap).decode("ascii"), g) for g in graphs), key=lambda p: p[0]
-    )
+    pairs = sorted(((certificate(g), g) for g in graphs), key=lambda p: p[0])
     if fmt == "graph6":
         for cert, _ in pairs:
             click.echo(cert)
@@ -448,8 +447,6 @@ def main() -> None:
     try:
         # a fixed name keeps `python -m bindex` output identical to `bindex`
         cli.main(prog_name="bindex", standalone_mode=False)
-    except click.exceptions.Exit as e:
-        sys.exit(e.exit_code)
     except click.ClickException as e:
         e.show()
         sys.exit(1)
@@ -465,5 +462,7 @@ def main() -> None:
     except BrokenPipeError:
         sys.exit(0)
     except OSError as e:
-        click.echo(f"error: {e}", err=True)
+        # open() names its file; a bare error is a failed write, and cmd_verify names --out itself
+        where = "cannot write standard output: " if e.filename is None else ""
+        click.echo(f"error: {where}{e}", err=True)
         sys.exit(1)

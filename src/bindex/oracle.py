@@ -24,8 +24,9 @@ A001832.
 verification_sweep is the one verification path: it enumerates each n
 once, keeps the classes of each cut edge count with rows to do, finds each
 index's optimum and certifies it next to the predicted family. verify_bound
-returns one of its rows. One size guard, cap, bounds both enumeration and
-certificates, and the sweep checks every n and k before any work starts.
+returns one of its rows. One size guard, cap, bounds the enumeration, and
+the library certifies only graphs under it, so certificate has no guard of
+its own. The sweep checks every n and k before any work starts.
 Everything runs in one process; the n = 5..10 sweep takes about 0.3 s of CPU.
 """
 
@@ -55,7 +56,7 @@ DEFAULT_CAP = 9
 
 
 def _check_cap(n: int, cap: int) -> None:
-    """The one size guard: enumeration and certificates both stop at cap."""
+    """The one size guard: the enumeration, and so every graph the library certifies, stays within cap."""
     if n > cap:
         raise ValueError(
             f"n={n} above cap={cap}: raise the cap argument (--cap on the command line)"
@@ -152,8 +153,8 @@ def _best_multi(
 ) -> dict[IndexKind, tuple[int | Fraction, list[Graph]]]:
     """Each kind's optimum over candidates, with every graph attaining it.
 
-    Only the requested kinds are computed; ints and Fractions compare
-    exactly, so values are kept as all_indices returns them.
+    all_indices computes all five indices and returns the requested kinds;
+    ints and Fractions compare exactly, so values are kept as it returns them.
     """
     kinds = list(kinds)
     lower = {kind: kind.bound_direction == "lower" for kind in kinds}
@@ -171,8 +172,8 @@ def _best_multi(
     return best
 
 
-def _certs(graphs: Iterable[Graph], cap: int) -> tuple[str, ...]:
-    return tuple(sorted(certificate(g, limit=cap).decode("ascii") for g in graphs))
+def _certs(graphs: Iterable[Graph]) -> tuple[str, ...]:
+    return tuple(sorted(certificate(g) for g in graphs))
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,7 @@ def verification_sweep(
                 f"n={', '.join(map(str, ns))}: each n has rows 1 <= k <= n-4 "
                 "and the tree row k = n-1"
             )
-    return _sweep(plan, list(kinds or IndexKind), cap, set(skip))
+    return _sweep(plan, list(IndexKind if kinds is None else kinds), cap, set(skip))
 
 
 def verify_bound(
@@ -286,8 +287,8 @@ def _sweep(
             for kind in todo[k]:
                 bound = optimize(kind, n, k)
                 value, graphs = best[kind]
-                found = _certs(graphs, cap)
-                family = _certs((b_graph(spec) for spec in bound.family), cap)
+                found = _certs(graphs)
+                family = _certs(b_graph(spec) for spec in bound.family)
                 if value != bound.value:
                     verdict = "value-mismatch"
                 elif found != family:
@@ -422,7 +423,7 @@ def _plain_changes(n: int) -> list[int]:
     return walk
 
 
-def labeled_class_certificates(n: int) -> frozenset[bytes]:
+def labeled_class_certificates(n: int) -> frozenset[str]:
     """Certificates of all connected bipartite classes, the labeled way.
 
     Scans the edge masks, then certifies one survivor per orbit and walks

@@ -150,11 +150,11 @@ def canonical_columns(g: Graph) -> list[int]:
     return best_cols
 
 
-def reference_certificate(g: Graph) -> bytes:
-    """graph6 of the reference columns, packed as certificate() packs its own."""
+def reference_certificate(g: Graph) -> str:
+    """graph6 text of the reference columns, packed as certificate() packs its own."""
     cols = canonical_columns(g)
     bits = "".join(format(c, f"0{j}b") for j, c in enumerate(cols[1:], 1))
-    return _graph6(g.n, bits).encode("ascii")
+    return _graph6(g.n, bits)
 
 
 def classes_with_parts(s: int, t: int) -> Iterator[Graph]:
@@ -266,7 +266,7 @@ def labeled_connected_bipartite_masks(n: int) -> list[int]:
     return out
 
 
-def labeled_class_certificates(n: int) -> frozenset[bytes]:
+def labeled_class_certificates(n: int) -> frozenset[str]:
     """Certificates of all connected bipartite classes, the labeled way.
 
     Scans the edge masks, then collapses isomorphism orbits by discarding

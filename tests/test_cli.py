@@ -141,6 +141,24 @@ def test_indices_csv_streams_rows_before_stdin_closes():
         proc.stdout.close()
 
 
+def test_indices_names_an_input_it_cannot_read(tmp_path):
+    missing = tmp_path / "missing.g6"
+    res = run("indices", "--input", str(missing))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex indices [OPTIONS]\n"
+        "Try 'bindex indices --help' for help.\n"
+        "\n"
+        f"Error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
+def test_indices_skips_blank_and_whitespace_lines():
+    res = run("indices", "--format", "csv", "--index", "w", stdin="Ch\n\n   \nCh\n")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "graph6,n,m,w,error\nCh,4,3,10,\nCh,4,3,10,\n"
+
+
 def test_indices_from_file(tmp_path):
     p = tmp_path / "graphs.g6"
     p.write_text(graph6_encode(star(5)) + "\n")
@@ -338,6 +356,38 @@ def test_verify_names_the_out_file_it_cannot_write():
     res = run("verify", "--n", "5", "--out", "/dev/full")
     assert (res.returncode, res.stdout) == (1, "")
     assert res.stderr == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "args",
+    [["enumerate", "--n", "5"], ["indices", "--input", os.devnull, "--format", "json"]],
+    ids=["enumerate", "indices"],
+)
+def test_a_full_stdout_is_named(args):
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "bindex", *args],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+    assert (res.returncode, res.stderr) == (
+        1,
+        "error: cannot write standard output: [Errno 28] No space left on device\n",
+    )
+
+
+def test_verify_resume_strict_exits_3_on_a_mismatch_kept_in_out(tmp_path):
+    # the one kept row is a value mismatch; the two rows written match
+    row = json.loads(run("verify", "--n", "6", "--index", "w", "--k", "1").stdout)
+    out = tmp_path / "rows.jsonl"
+    out.write_text(json.dumps({**row, "verdict": "value-mismatch"}) + "\n")
+    res = run("verify", "--n", "6", "--index", "w", "--resume", "--strict", "--out", str(out))
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == f"wrote 2 rows to {out}\nmismatch: w n=6 k=1 value-mismatch\n"
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_enumerate_above_cap_names_the_option():
@@ -562,6 +612,17 @@ def test_probe_shift_within_rejects_others_on_donor_or_receiver(others, message)
         "Try 'bindex probe shift-within --help' for help.\n"
         "\n"
         f"Error: --others names {message}\n"
+    )
+
+
+def test_probe_shift_within_rejects_a_bad_pendant_spec():
+    res = run("probe", "shift-within", "--s", "3", "--t", "3", "--others", "2x")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex probe shift-within [OPTIONS]\n"
+        "Try 'bindex probe shift-within --help' for help.\n"
+        "\n"
+        "Error: bad pendant spec '2x', want vertex:count\n"
     )
 
 

@@ -79,6 +79,8 @@ def test_decorated_core_validation():
         DecoratedCore.make(2, 2, {4: 1})  # owner out of range
     with pytest.raises(ValueError):
         DecoratedCore.make(2, 2, {0: -1})
+    with pytest.raises(Infeasible, match=r"^need 4 pendant counts, got 3$"):
+        DecoratedCore(2, 2, (0, 0, 0))
 
 
 def test_bk_spec_validation():
@@ -159,7 +161,7 @@ def test_b_graph_mirror_family_members_differ():
                     continue
                 a = b_graph(BkSpec(n, k, x))
                 flipped = realize(DecoratedCore.make(y, x, {0: k}))
-                assert certificate(a, limit=n) != certificate(flipped, limit=n)
+                assert certificate(a) != certificate(flipped)
 
 
 def test_feasible_cut_edge_counts():

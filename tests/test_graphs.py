@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bindex import graphs
 from bindex.graphs import (
     UNREACHABLE,
+    add_edge,
     bridges,
     certificate,
     distances_from,
@@ -56,6 +57,11 @@ def test_construction_rejects_bad_edges():
         new_graph(0, [])
     with pytest.raises(ValueError):
         new_graph(2, [(-1, 0)])
+    assert add_edge(path(3), 0, 2).edge_count == 3
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        add_edge(path(3), 1, 1)
+    with pytest.raises(ValueError, match=r"^edge \(1, 0\) already present$"):
+        add_edge(path(3), 1, 0)
 
 
 def test_bfs_distances_on_path():
@@ -170,11 +176,11 @@ def test_certificate_separates_and_unifies():
         assert certificate(scrambled(rng, g)) == certificate(g)
 
 
-def test_certificate_respects_limit():
-    g = path(11)
-    with pytest.raises(ValueError):
-        certificate(g)
-    assert certificate(g, limit=11)
+def test_certificate_takes_no_size_limit():
+    # the oracle's cap is the one size guard; certificate certifies any n
+    twelve = new_graph(12, [(i, i + 1) for i in range(11)] + [(0, 3), (4, 11)])
+    for g in (path(11), twelve):
+        assert certificate(g) == reference_certificate(g)
 
 
 def test_graph6_round_trip():

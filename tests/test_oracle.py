@@ -66,7 +66,7 @@ def test_enumeration_class_counts():
 def test_enumeration_class_count_n11():
     got = list(enumerate_connected_bipartite(11, cap=11))
     assert len(got) == 25598
-    assert len({certificate(g, limit=11) for g in got}) == 25598  # no class listed twice
+    assert len({certificate(g) for g in got}) == 25598  # no class listed twice
 
 
 @pytest.mark.parametrize(
@@ -129,7 +129,7 @@ def test_certificates_at_n8_are_byte_identical():
     }
     for n, (lines, want) in pinned.items():
         graphs = enumerate_connected_bipartite(n, cap=10)
-        certs = sorted(certificate(g).decode("ascii") for g in graphs)
+        certs = sorted(certificate(g) for g in graphs)
         assert len(certs) == lines, n
         assert hashlib.sha256("\n".join(certs).encode("ascii")).hexdigest() == want, n
 
@@ -157,7 +157,7 @@ def test_cut_edge_histogram_n6():
 def test_verify_bound_known_optimum():
     report = verify_bound(W, 8, 2)
     assert report.oracle_value == 48
-    assert report.oracle_certificates == (certificate(b_graph(BkSpec(8, 2, 2))).decode(),)
+    assert report.oracle_certificates == (certificate(b_graph(BkSpec(8, 2, 2))),)
     # the other family member is strictly worse here
     assert compute(W, b_graph(BkSpec(8, 2, 3))) == 49
 
@@ -298,6 +298,13 @@ def test_verification_sweep_streams_and_skips():
     assert [(r.n, r.k) for r in one_shot] == [(5, 1), (6, 1)]
 
 
+def test_verification_sweep_reads_an_empty_kinds_list_as_no_rows():
+    # only None means every index; an empty list asks for none, as an empty ks does
+    assert len(list(verification_sweep([6]))) == 15
+    assert list(verification_sweep([6], [])) == []
+    assert list(verification_sweep([6], ks=[])) == []
+
+
 def test_verification_sweep_rejects_n_above_cap_before_any_work(monkeypatch):
     enumerated = []
     monkeypatch.setattr(
@@ -309,13 +316,13 @@ def test_verification_sweep_rejects_n_above_cap_before_any_work(monkeypatch):
 
 
 def test_verification_sweep_certificates_use_the_same_cap(monkeypatch):
-    # n = 11 is past certificate()'s default limit; cap=11 must cover it
+    # cap=11 lets the sweep enumerate n = 11; its certificates need no cap of their own
     family = [b_graph(BkSpec(11, k, x)) for k in (1, 2) for x in admissible_x(11, k)]
     monkeypatch.setattr(oracle, "enumerate_connected_bipartite", lambda n, cap: family)
     (report,) = verification_sweep([11], [W], ks=[1], cap=11)
     assert report.matched
     assert report.oracle_certificates == tuple(
-        sorted(certificate(b_graph(BkSpec(11, 1, x)), 11).decode() for x in (4, 5))
+        sorted(certificate(b_graph(BkSpec(11, 1, x))) for x in (4, 5))
     )
 
 
@@ -347,7 +354,7 @@ def test_committed_rows_match_the_bounds(size, count):
     assert len(rows) == count
     for (index, n, k), row in rows.items():
         bound = optimize(IndexKind(index), n, k)
-        family = oracle._certs((b_graph(spec) for spec in bound.family), cap=size)
+        family = oracle._certs(b_graph(spec) for spec in bound.family)
         assert (row.predicted_value, row.predicted_certificates) == (bound.value, family)
         assert (row.oracle_value, row.oracle_certificates) == (bound.value, family)
         assert row.matched
@@ -487,9 +494,9 @@ def test_orbit_walk_certifies_each_class_once(monkeypatch, n):
     real = oracle.certificate
     calls = []
 
-    def spy(g, *args, **kwargs):
+    def spy(g):
         calls.append(g)
-        return real(g, *args, **kwargs)
+        return real(g)
 
     monkeypatch.setattr(oracle, "certificate", spy)
     certs = labeled_class_certificates(n)
