@@ -10,7 +10,8 @@ reads, so click itself rejects an option of another kind, and
 `bindex probe KIND --help` lists exactly that kind's options.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible parameters,
-3 verification or contract mismatch under --strict.
+3 verification or contract mismatch under --strict. A reader that closes
+standard output early gives exit 1 and no message (click's own handling).
 """
 
 from __future__ import annotations
@@ -459,8 +460,6 @@ def main() -> None:
     except ValueError as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    except BrokenPipeError:
-        sys.exit(0)
     except OSError as e:
         # open() names its file; a bare error is a failed write, and cmd_verify names --out itself
         where = "cannot write standard output: " if e.filename is None else ""

@@ -158,15 +158,12 @@ def b_graph(spec: BkSpec) -> Graph:
 
 def feasible_cut_edge_counts(n: int) -> tuple[int, ...]:
     """All k for which a connected bipartite graph on n vertices with
-    exactly k cut edges exists (k = n-2 and n-3 never occur)."""
+    exactly k cut edges exists: k < n but never n-2 or n-3. A non-tree has
+    an even cycle, whose 4+ vertices stay together once the cut edges go, so
+    k <= n-4; for n <= 3 the rule leaves only the tree row k = n-1."""
     if n < 1:
         raise Infeasible(f"need n>=1, got n={n}")
-    if n == 1:
-        return (0,)
-    full = [k for k in range(0, n) if k not in (n - 2, n - 3)]
-    if n <= 3:
-        return tuple(k for k in full if k == n - 1)  # trees only below C_4
-    return tuple(full)
+    return tuple(k for k in range(n) if k not in (n - 2, n - 3))
 
 
 def bound_cut_edge_counts(n: int) -> tuple[int, ...]:

@@ -28,6 +28,8 @@ returns one of its rows. One size guard, cap, bounds the enumeration, and
 the library certifies only graphs under it, so certificate has no guard of
 its own. The sweep checks every n and k before any work starts.
 Everything runs in one process; the n = 5..10 sweep takes about 0.3 s of CPU.
+complete_bipartite_blocks needs no search: once the cut edges go, every
+block is K_1 or complete bipartite iff the ends of each 2-path see the same.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .graphs import (
     bridges,
     certificate,
     is_connected,
-    layers,
     new_graph,
 )
 from .indices import IndexKind, all_indices
@@ -328,26 +329,17 @@ def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
 
 def complete_bipartite_blocks(g: Graph) -> bool:
     """True iff every component left after deleting the cut edges is a
-    single vertex or a complete bipartite graph."""
+    single vertex or a complete bipartite graph.
+
+    The test: the ends of every 2-path have equal neighbor masks. Then, by
+    induction along shortest paths, each vertex shares its mask with every
+    vertex at even distance and sees every one at odd distance: a K_1 or
+    complete bipartite component. Each 2-path of K_{a,b} joins one part."""
     adj = list(g.adj)
     for u, v in bridges(g):
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-    seen = 0
-    for root in range(g.n):
-        if seen >> root & 1:
-            continue
-        parts = [0, 0]
-        for d, layer in enumerate(layers(adj, root)):
-            parts[d & 1] |= layer
-        even, odd = parts
-        seen |= even | odd
-        # complete bipartite: each level class sees exactly the other class
-        if any(adj[v] != odd for v in _bits(even)) or any(
-            adj[v] != even for v in _bits(odd)
-        ):
-            return False
-    return True
+    return all(adj[w] == adj[v] for v in range(g.n) for u in _bits(adj[v]) for w in _bits(adj[u]))
 
 
 # ----- labeled rebuild: raw edge masks, then orbit collapse -----
@@ -364,9 +356,10 @@ def labeled_connected_bipartite_masks(n: int) -> list[int]:
     other (an edge to both would close an odd cycle), and merges with the
     components it picked. Vertex 0 must pick from every component, so every
     leaf is connected and none is wasted. The leaves are sorted at the end.
+    At n = 1 vertex 0 has no component to join: the one leaf is mask 0.
     """
-    if not 2 <= n <= 7:
-        raise ValueError(f"labeled scan supports 2 <= n <= 7, got n={n}")
+    if not 1 <= n <= 7:
+        raise ValueError(f"labeled scan supports 1 <= n <= 7, got n={n}")
     base = [u * (2 * n - u - 1) // 2 for u in range(n)]
     out = []
 
@@ -431,8 +424,6 @@ def labeled_class_certificates(n: int) -> frozenset[str]:
     vertex transpositions, reach all n! relabelings of the survivor.
     Independent of the structured enumeration.
     """
-    if n == 1:
-        return frozenset({certificate(new_graph(1))})
     pairs = list(combinations(range(n), 2))
     survivors = set(labeled_connected_bipartite_masks(n))
     swaps = _transposition_swaps(n)

@@ -11,8 +11,10 @@ indices in a known direction:
   vertex of a doubly decorated core over to the small-part vertex.
 
 cut_edge_context walks u's shore, the vertices u reaches without w, and
-reads the cut edge off it: (u, w) is one iff u is w's only neighbor there.
-contract_bridge writes the merged neighbor masks directly.
+reads the cut edge off it: (u, w) is one iff u is w's only neighbor there,
+and both shores hold 2+ vertices iff u's counts 2 to n-2. The context
+keeps only the graph and the edge; contract_bridge writes the merged
+neighbor masks directly.
 
 Each contract is one expectation map from every index to either its exact
 delta (a Fraction, where a closed form is known) or the sign the delta
@@ -47,13 +49,11 @@ def holds(delta, want: Fraction | str) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class CutEdgeContext:
-    """A cut edge (u, w) of a connected graph, with its two shores."""
+    """A cut edge (u, w) of a connected graph with 2+ vertices on each shore."""
 
     graph: Graph
     u: int
     w: int
-    side_u: frozenset[int]
-    side_w: frozenset[int]
 
 
 def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
@@ -68,11 +68,9 @@ def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
     # a cut edge iff u is w's only neighbor there: another closes a cycle through (u, w)
     if g.adj[w] & side != 1 << u:
         raise ValueError(f"({u}, {w}) is not a cut edge")
-    side_u = frozenset(v for v in range(g.n) if side >> v & 1)
-    side_w = frozenset(range(g.n)) - side_u
-    if len(side_u) < 2 or len(side_w) < 2:
+    if not 2 <= side.bit_count() <= g.n - 2:  # w's shore is the other vertices
         raise ValueError("both sides of the cut edge must have at least 2 vertices")
-    return CutEdgeContext(g, u, w, side_u, side_w)
+    return CutEdgeContext(g, u, w)
 
 
 def contract_bridge(ctx: CutEdgeContext) -> Graph:

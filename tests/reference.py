@@ -86,6 +86,7 @@ from bindex.graphs import (
     UNREACHABLE,
     Graph,
     _bits,
+    _g6_head,
     _graph6,
     certificate,
     distances_from,
@@ -154,7 +155,7 @@ def reference_certificate(g: Graph) -> str:
     """graph6 text of the reference columns, packed as certificate() packs its own."""
     cols = canonical_columns(g)
     bits = "".join(format(c, f"0{j}b") for j, c in enumerate(cols[1:], 1))
-    return _graph6(g.n, bits)
+    return _graph6(_g6_head(g.n), bits)
 
 
 def classes_with_parts(s: int, t: int) -> Iterator[Graph]:

@@ -15,6 +15,7 @@ import os
 import re
 import select
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -29,6 +30,7 @@ from bindex import cli, indices
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.graphs import bridges, graph6_decode, graph6_encode, new_graph
 from bindex.indices import IndexKind
+from bindex.oracle import load_reports
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -351,6 +353,53 @@ def test_verify_streams_rows_so_an_interrupted_run_can_resume(tmp_path, monkeypa
     assert len({(r["index"], r["n"], r["k"]) for r in rows}) == len(rows) == 10
 
 
+def test_interrupted_verify_keeps_its_finished_rows_for_resume(tmp_path):
+    # n = 12 takes minutes, so SIGINT lands while the sweep is still running
+    out = tmp_path / "rows.jsonl"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bindex", "verify", "--n", "11", "--n", "12", "--cap", "12", "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not (out.exists() and "\n" in out.read_text()):
+            assert proc.poll() is None and time.monotonic() < deadline, "no row written"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert (proc.returncode, stdout, stderr) == (1, "", "\naborted\n")
+    rows = load_reports(out)
+    assert rows and {n for _, n, _ in rows} == {11}
+    assert len(rows) == out.read_text().count("\n")  # whole rows only
+
+
+def test_a_reader_that_closes_early_ends_the_command_with_exit_1(tmp_path):
+    # about 1 MB of CSV, far more than a pipe holds, so the child is still writing
+    src = tmp_path / "many.g6"
+    src.write_text("Ch\n" * 20000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bindex", "indices", "--input", str(src), "--format", "csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"graph6,n,m,w,ww,h,cei,eds,error\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert (proc.wait(timeout=60), stderr) == (1, b"")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_verify_names_the_out_file_it_cannot_write():
     res = run("verify", "--n", "5", "--out", "/dev/full")
@@ -361,8 +410,12 @@ def test_verify_names_the_out_file_it_cannot_write():
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 @pytest.mark.parametrize(
     "args",
-    [["enumerate", "--n", "5"], ["indices", "--input", os.devnull, "--format", "json"]],
-    ids=["enumerate", "indices"],
+    [
+        ["enumerate", "--n", "5"],
+        ["indices", "--input", os.devnull, "--format", "json"],
+        ["verify", "--n", "5"],
+    ],
+    ids=["enumerate", "indices", "verify"],
 )
 def test_a_full_stdout_is_named(args):
     with open("/dev/full", "w") as full:

@@ -23,6 +23,7 @@ from bindex.constructors import (
 from bindex.extremal import closed_form, optimize
 from bindex.graphs import bridges, certificate, is_connected
 from bindex.indices import IndexKind, compute
+from bindex.oracle import enumerate_connected_bipartite
 from reference import bipartition, decorated_core_graph
 
 
@@ -174,6 +175,10 @@ def test_feasible_cut_edge_counts():
     assert feasible_cut_edge_counts(1) == (0,)
     with pytest.raises(ValueError):
         feasible_cut_edge_counts(0)
+    # exactly the counts some class has, n = 4 (trees and C_4 only) included
+    for n in range(1, 9):
+        found = {len(bridges(g)) for g in enumerate_connected_bipartite(n)}
+        assert feasible_cut_edge_counts(n) == tuple(sorted(found)), n
 
 
 def test_bound_rows_are_the_feasible_counts_but_zero():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bindex import graphs
+from bindex.constructors import complete_bipartite, star
 from bindex.graphs import (
     UNREACHABLE,
     add_edge,
@@ -181,6 +182,21 @@ def test_certificate_takes_no_size_limit():
     twelve = new_graph(12, [(i, i + 1) for i in range(11)] + [(0, 3), (4, 11)])
     for g in (path(11), twelve):
         assert certificate(g) == reference_certificate(g)
+
+
+def test_certificate_runs_past_the_recursion_limit():
+    # thousands of candidates in one cell: the independent-set search is not recursive
+    n = 1200
+    center_last = new_graph(n, [(v, n - 1) for v in range(n - 1)])
+    k600 = complete_bipartite(600, 600)  # part X first is already canonical
+    for g, canonical in ((star(n), center_last), (new_graph(n), new_graph(n)), (k600, k600)):
+        assert certificate(g) == graph6_encode(canonical)
+
+
+def test_graph6_size_is_checked_before_any_work():
+    g = new_graph(258048)  # one past graph6's limit; a bit string would take ~33e9 chars
+    for encode in (graph6_encode, certificate):
+        assert outcome(encode, g) == ("ValueError", "graph6 encoder supports n<=258047, got 258048")
 
 
 def test_graph6_round_trip():

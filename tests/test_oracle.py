@@ -397,6 +397,7 @@ def test_complete_bipartite_blocks():
 
 
 def test_labeled_scan_counts():
+    assert labeled_connected_bipartite_masks(1) == [0]  # K_1: no pairs, one empty mask
     assert len(labeled_connected_bipartite_masks(2)) == 1
     assert len(labeled_connected_bipartite_masks(3)) == 3
     # 16 labeled trees plus the 3 labelings of the 4-cycle
@@ -405,8 +406,9 @@ def test_labeled_scan_counts():
     assert len(labeled_connected_bipartite_masks(5)) == 195
     assert len(labeled_connected_bipartite_masks(6)) == 3031
     assert len(labeled_connected_bipartite_masks(7)) == 67263
-    with pytest.raises(ValueError):
-        labeled_connected_bipartite_masks(8)
+    for n in (0, 8):
+        with pytest.raises(ValueError, match=rf"^labeled scan supports 1 <= n <= 7, got n={n}$"):
+            labeled_connected_bipartite_masks(n)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -73,8 +73,6 @@ def test_holds_knows_no_non_strict_sign():
 def test_contract_bridge_turns_p4_into_star():
     g = path(4)
     ctx = cut_edge_context(g, 1, 2)
-    assert ctx.side_u == frozenset({0, 1})
-    assert ctx.side_w == frozenset({2, 3})
     after = contract_bridge(ctx)
     assert certificate(after) == certificate(star(4))
     deltas = index_deltas(g, after)
@@ -151,7 +149,6 @@ def test_cut_edge_context_decides_every_ordered_pair():
                 if min(len(side), g.n - len(side)) < 2:
                     assert ctx == ("ValueError", "both sides of the cut edge must have at least 2 vertices")
                     continue
-                assert (ctx.side_u, ctx.side_w) == (side, frozenset(range(g.n)) - side)
                 assert contract_bridge(ctx) == reference.contract_bridge(ctx), (g, u, w)
                 accepted += 1
     assert accepted == 254  # contexts with two vertices or more on each shore
