@@ -28,7 +28,6 @@ from .extremal import (
     closed_form,
     optimize,
     reconcile,
-    star_value,
 )
 from .graphs import (
     Graph,
@@ -53,7 +52,6 @@ from .oracle import (
 )
 from .transforms import (
     CutEdgeContext,
-    ProbeReport,
     ShiftPrediction,
     contract_bridge,
     cut_edge_context,
@@ -73,7 +71,6 @@ __all__ = [
     "Graph",
     "IndexKind",
     "Infeasible",
-    "ProbeReport",
     "Reconciliation",
     "ShiftPrediction",
     "VerificationReport",
@@ -106,7 +103,6 @@ __all__ = [
     "shift_pendants_across_parts",
     "shift_pendants_within_part",
     "star",
-    "star_value",
     "verification_sweep",
     "verify_bound",
 ]

@@ -391,16 +391,16 @@ def cmd_probe() -> None:
 @_contract_output
 def probe_add_edge(g6: str, samples, seed: int, strict: bool, fmt: str) -> None:
     """Every index must move strictly the right way on each added edge."""
-    report = monotonicity_probe(graph6_decode(g6), samples, seed)
+    probes = monotonicity_probe(graph6_decode(g6), samples, seed)
     columns = ["u", "v"] + [f"d_{x.value}" for x in IndexKind] + ["ok"]
     rows = []
-    for probe in report.probes:
+    for probe in probes:
         row = {"u": probe.u, "v": probe.v, "ok": "yes" if probe.consistent else "NO"}
         for x in IndexKind:
             row[f"d_{x.value}"] = str(probe.deltas[x])
         rows.append(row)
     _emit(rows, columns, fmt)
-    if strict and not report.consistent:
+    if strict and not all(p.consistent for p in probes):
         sys.exit(3)
 
 

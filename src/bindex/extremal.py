@@ -4,7 +4,8 @@ Two independent layers:
 
 * optimize() evaluates the per-index polynomial at every admissible x
   (constructors.admissible_x, re-exported here) and returns the true
-  optimum with all optimal parameters, or S_n's value on the tree row;
+  optimum with all optimal parameters, or, on the tree row, the index of
+  S_n computed from the graph itself;
 * case_table() reproduces a fixed residue-indexed table of closed-form
   answers, kept verbatim, quirks included. Which printed optimizers give
   a realizable family is decided by admissible_x as well: the table's x
@@ -42,7 +43,7 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
     """Index value of B_k(x, n-k-x) as a polynomial in x.
 
     Defined for 1 <= k <= n-4 and integer 2 <= x <= n-k-x; the tree row
-    k = n-1 has no x freedom and is served by star_value instead.
+    k = n-1 has no x freedom; optimize computes S_n's index there instead.
     """
     xs = admissible_x(n, k)
     if not xs:
@@ -75,9 +76,6 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
 class BoundResult:
     """Sharp bound over connected bipartite graphs with n vertices and k cut edges."""
 
-    index: IndexKind
-    n: int
-    k: int
     direction: str  # "lower": the family minimizes; "upper": it maximizes
     value: Fraction
     optimal_x: tuple[int, ...]
@@ -87,19 +85,19 @@ class BoundResult:
 def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
     """Optimize the closed form over all admissible x (direct, no table).
 
-    The tree row k = n-1 returns the star value computed straight from the
-    graph itself.
+    The tree row k = n-1 returns the index of S_n, computed straight from
+    the graph itself.
     """
     direction = kind.bound_direction
     xs = admissible_x(n, k)
     if not xs:
-        value = star_value(kind, n)
-        return BoundResult(kind, n, k, direction, value, (1,), (BkSpec(n, k, 1),))
+        value = Fraction(compute(kind, star(n)))
+        return BoundResult(direction, value, (1,), (BkSpec(n, k, 1),))
     values = {x: closed_form(kind, n, k, x) for x in xs}
     best = min(values.values()) if direction == "lower" else max(values.values())
     optimal = tuple(x for x in xs if values[x] == best)
     family = tuple(BkSpec(n, k, x) for x in optimal)
-    return BoundResult(kind, n, k, direction, best, optimal, family)
+    return BoundResult(direction, best, optimal, family)
 
 
 @dataclass(frozen=True)
@@ -107,8 +105,6 @@ class CaseRow:
     """One table answer: printed value, printed optimizers, realizable family."""
 
     label: str  # index and roman clause of its table, e.g. "w.iii"
-    n: int
-    k: int
     relation: str
     value: Fraction
     x_values: tuple[Fraction, ...]
@@ -126,8 +122,6 @@ def _row(
         family = (BkSpec(n, k, 1),)  # the tree row's extremal graph is S_n
     return CaseRow(
         f"{kind.value}.{_ROMAN[clause - 1]}",
-        n,
-        k,
         TABLE_RELATION[kind],
         Fraction(value),
         xs,
@@ -270,8 +264,3 @@ def reconcile(kind: IndexKind, n: int, k: int) -> Reconciliation:
     return Reconciliation(
         computed, row, value_match, family_match, direction_conflict, tuple(notes)
     )
-
-
-def star_value(kind: IndexKind, n: int) -> Fraction:
-    """Directly computed index of S_n: the tree row of optimize."""
-    return Fraction(compute(kind, star(n)))

@@ -179,7 +179,9 @@ def _certs(graphs: Iterable[Graph]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Oracle search vs predicted bound for one (index, n, k) row."""
+    """Oracle search vs predicted bound for one (index, n, k) row. The verdict is
+    derived: value-mismatch if the values differ, else family-mismatch if the
+    certificates differ, else match."""
 
     index: IndexKind
     n: int
@@ -188,7 +190,14 @@ class VerificationReport:
     oracle_certificates: tuple[str, ...]
     predicted_value: Fraction
     predicted_certificates: tuple[str, ...]
-    verdict: str  # match | value-mismatch | family-mismatch
+
+    @property
+    def verdict(self) -> str:
+        if self.oracle_value != self.predicted_value:
+            return "value-mismatch"
+        if self.oracle_certificates != self.predicted_certificates:
+            return "family-mismatch"
+        return "match"
 
     @property
     def matched(self) -> bool:
@@ -208,17 +217,19 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        """Inverse of to_dict; other keys (the elapsed_ms of older rows) are ignored."""
-        return cls(
-            IndexKind(d["index"]),
-            d["n"],
-            d["k"],
-            Fraction(d["oracle_value"]),
-            tuple(d["oracle_certificates"]),
-            Fraction(d["predicted_value"]),
-            tuple(d["predicted_certificates"]),
-            d["verdict"],
+        """Inverse of to_dict: d must hold, as JSON, what to_dict writes for the
+        report it parses to, verdict included, else ValueError. Other keys
+        (the elapsed_ms of older rows) are ignored."""
+        report = cls(
+            IndexKind(d["index"]), int(d["n"]), int(d["k"]),
+            Fraction(d["oracle_value"]), tuple(map(str, d["oracle_certificates"])),
+            Fraction(d["predicted_value"]), tuple(map(str, d["predicted_certificates"])),
         )
+        for key, want in report.to_dict().items():
+            got = json.dumps(d.get(key))
+            if got != json.dumps(want):
+                raise ValueError(f"{key} is {got}, its report writes {json.dumps(want)}")
+        return report
 
 
 def verification_sweep(
@@ -290,22 +301,15 @@ def _sweep(
                 value, graphs = best[kind]
                 found = _certs(graphs)
                 family = _certs(b_graph(spec) for spec in bound.family)
-                if value != bound.value:
-                    verdict = "value-mismatch"
-                elif found != family:
-                    verdict = "family-mismatch"
-                else:
-                    verdict = "match"
-                yield VerificationReport(
-                    kind, n, k, Fraction(value), found, bound.value, family, verdict
-                )
+                yield VerificationReport(kind, n, k, Fraction(value), found, bound.value, family)
 
 
 def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
     """Read a JSONL report file into a dict keyed by (index, n, k).
 
-    A row that does not parse raises ValueError naming the file and its
-    1-based line, e.g. the cut last line of an interrupted run.
+    A row that does not parse, or that to_dict would not write back as it
+    stands, raises ValueError naming the file and its 1-based line, e.g.
+    the cut last line of an interrupted run or a verdict its values deny.
     """
     out: dict[tuple[str, int, int], VerificationReport] = {}
     with open(path, "rb") as fh:
@@ -319,7 +323,7 @@ def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
                 raise ValueError(
                     f"{path}, line {lineno}: {e.msg} at column {e.colno}"
                 ) from e
-            except (KeyError, TypeError, ValueError) as e:
+            except (ArithmeticError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(
                     f"{path}, line {lineno}: not a report row ({e!r})"
                 ) from e

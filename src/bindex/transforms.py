@@ -22,7 +22,7 @@ must have ("<0" or ">0"); holds() is the one check of a delta
 against its entry. EDGE_ADDITION_SIGNS is the edge addition law (W, WW,
 EDS fall, H and CEI rise), read off IndexKind.decreases_when_edges_added;
 contract_bridge also obeys it and monotonicity_probe checks it on sampled
-absent edges.
+absent edges, returning one EdgeProbe per edge.
 """
 
 from __future__ import annotations
@@ -188,17 +188,13 @@ class EdgeProbe:
     consistent: bool
 
 
-@dataclass(frozen=True, eq=False)
-class ProbeReport:
-    probes: tuple[EdgeProbe, ...]
-    consistent: bool
-
-
-def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> ProbeReport:
+def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> tuple[EdgeProbe, ...]:
     """Add absent edges and check every index moves the right way.
 
-    samples=None probes every absent pair; otherwise a seeded sample of
-    that size, at least 1. The graph must be connected and not complete.
+    Returns one EdgeProbe per added edge, in (u, v) order; the contract
+    holds iff every probe is consistent. samples=None probes every absent
+    pair; otherwise a seeded sample of that size, at least 1. The graph
+    must be connected and not complete.
     """
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -221,4 +217,4 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> P
         deltas = {kind: after[kind] - base[kind] for kind in IndexKind}
         ok = all(holds(deltas[k], want) for k, want in EDGE_ADDITION_SIGNS.items())
         probes.append(EdgeProbe(u, v, deltas, ok))
-    return ProbeReport(tuple(probes), all(p.consistent for p in probes))
+    return tuple(probes)

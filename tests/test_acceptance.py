@@ -136,9 +136,9 @@ def test_criterion_5_transformation_contracts():
     rng = random.Random(20260822)
     probes = 0
     for _ in range(1000):
-        report = monotonicity_probe(random_connected_bipartite(rng, lo=4, hi=10))
-        assert report.consistent
-        probes += len(report.probes)
+        edges = monotonicity_probe(random_connected_bipartite(rng, lo=4, hi=10))
+        assert all(p.consistent for p in edges)
+        probes += len(edges)
     assert probes > 0
 
     # cut edge contraction: strict directions on 200 seeded contexts

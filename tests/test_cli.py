@@ -301,6 +301,29 @@ def test_verify_resume_names_file_and_line_of_a_cut_row(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"oracle_value": "1/0"}, "ZeroDivisionError('Fraction(1, 0)')"),
+        ({"n": "5"}, """ValueError('n is "5", its report writes 5')"""),
+        ({"verdict": "banana"}, """ValueError('verdict is "banana", its report writes "match"')"""),
+        (
+            {"oracle_certificates": "DFw"},
+            """ValueError('oracle_certificates is "DFw", its report writes ["D", "F", "w"]')""",
+        ),
+    ],
+    ids=["zero-denominator", "n-as-text", "unknown-verdict", "certificates-as-text"],
+)
+def test_verify_resume_rejects_a_row_it_would_not_write(tmp_path, change, message):
+    out = tmp_path / "rows.jsonl"
+    assert run("verify", "--n", "5", "--index", "w", "--out", str(out)).returncode == 0
+    first, rest = out.read_text().split("\n", 1)
+    out.write_text(json.dumps({**json.loads(first), **change}) + "\n" + rest)
+    res = run("verify", "--n", "5", "--index", "w", "--out", str(out), "--resume", "--strict")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == f"error: {out}, line 1: not a report row ({message})\n"
+
+
 def test_verify_resume_without_out_is_a_usage_error():
     res = run("verify", "--n", "5", "--resume")
     assert res.returncode == 1
@@ -436,7 +459,7 @@ def test_verify_resume_strict_exits_3_on_a_mismatch_kept_in_out(tmp_path):
     # the one kept row is a value mismatch; the two rows written match
     row = json.loads(run("verify", "--n", "6", "--index", "w", "--k", "1").stdout)
     out = tmp_path / "rows.jsonl"
-    out.write_text(json.dumps({**row, "verdict": "value-mismatch"}) + "\n")
+    out.write_text(json.dumps({**row, "oracle_value": "0", "verdict": "value-mismatch"}) + "\n")
     res = run("verify", "--n", "6", "--index", "w", "--resume", "--strict", "--out", str(out))
     assert (res.returncode, res.stdout) == (3, "")
     assert res.stderr == f"wrote 2 rows to {out}\nmismatch: w n=6 k=1 value-mismatch\n"

@@ -22,7 +22,6 @@ from bindex.extremal import (
     closed_form,
     optimize,
     reconcile,
-    star_value,
 )
 from bindex.indices import IndexKind, all_indices, compute
 from reference import case_table_family
@@ -124,11 +123,11 @@ def test_optimize_star_rows_use_true_star_values():
 def test_star_value_closed_forms():
     for n in range(5, 13):
         true = all_indices(star(n))
-        assert star_value(W, n) == (n - 1) ** 2 == true[W]
-        assert star_value(WW, n) == F((n - 1) * (3 * n - 4), 2) == true[WW]
-        assert star_value(H, n) == F(n * n + n - 2, 4) == true[H]
-        assert star_value(CEI, n) == F(3 * (n - 1), 2) == true[CEI]
-        assert star_value(EDS, n) == (n - 1) * (4 * n - 5) == true[EDS]
+        assert optimize(W, n, n - 1).value == (n - 1) ** 2 == true[W]
+        assert optimize(WW, n, n - 1).value == F((n - 1) * (3 * n - 4), 2) == true[WW]
+        assert optimize(H, n, n - 1).value == F(n * n + n - 2, 4) == true[H]
+        assert optimize(CEI, n, n - 1).value == F(3 * (n - 1), 2) == true[CEI]
+        assert optimize(EDS, n, n - 1).value == (n - 1) * (4 * n - 5) == true[EDS]
 
 
 def test_wiener_tie_structure():
@@ -149,7 +148,6 @@ def test_case_table_totality_and_shape():
                 continue
             for kind in IndexKind:
                 row = case_table(kind, n, k)
-                assert row.n == n and row.k == k
                 assert row.label.startswith(kind.value + ".")
                 assert row.relation == TABLE_RELATION[kind]
                 if row.family_valid:

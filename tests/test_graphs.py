@@ -193,6 +193,15 @@ def test_certificate_runs_past_the_recursion_limit():
         assert certificate(g) == graph6_encode(canonical)
 
 
+def test_certificate_of_a_long_path_is_relabeling_invariant():
+    # the independent-set search bounds each branch by a greedy matching, so P_60 is quick
+    rng = random.Random(60)
+    cert = certificate(path(60))
+    g = graph6_decode(cert)
+    assert (g.edge_count, is_connected(g), max(map(g.degree, range(60)))) == (59, True, 2)
+    assert [certificate(scrambled(rng, path(60))) for _ in range(3)] == [cert] * 3
+
+
 def test_graph6_size_is_checked_before_any_work():
     g = new_graph(258048)  # one past graph6's limit; a bit string would take ~33e9 chars
     for encode in (graph6_encode, certificate):

@@ -178,6 +178,18 @@ def test_verify_bound_verdict_names_what_differs(monkeypatch, change, verdict):
     assert not report.matched
 
 
+def test_verdict_is_derived_from_values_then_certificates():
+    x2, x3 = (certificate(b_graph(BkSpec(8, 2, x))) for x in (2, 3))
+
+    def report(oracle_value, oracle_certs):
+        return VerificationReport(W, 8, 2, Fraction(oracle_value), oracle_certs, Fraction(48), (x2,))
+
+    assert report(48, (x2,)).verdict == "match"
+    assert report(48, (x3,)).verdict == "family-mismatch"
+    assert report(49, (x3,)).verdict == "value-mismatch"  # values are compared first
+    assert [r.matched for r in (report(48, (x2,)), report(49, (x2,)))] == [True, False]
+
+
 def test_sweep_computes_only_the_requested_kinds(monkeypatch):
     asked = []
     real = oracle.all_indices
@@ -362,11 +374,26 @@ def test_committed_rows_match_the_bounds(size, count):
 
 @pytest.mark.parametrize(
     "bad",
-    [b'{"index": "h", "n"', b'{"index": "h"}', b'{"index": "h\xff"}'],
-    ids=["cut-row", "missing-field", "non-ascii"],
+    [
+        b'{"index": "h", "n"',
+        b'{"index": "h"}',
+        b'{"index": "h\xff"}',
+        {"oracle_value": "1/0"},
+        {"n": "6"},
+        {"verdict": "banana"},
+        {"oracle_certificates": "DFw"},
+        {"oracle_value": "0"},  # the row still says match
+    ],
+    ids=[
+        "cut-row", "missing-field", "non-ascii", "zero-denominator", "n-as-text",
+        "unknown-verdict", "certificates-as-text", "verdict-its-values-deny",
+    ],
 )
 def test_load_reports_names_file_and_line_of_a_bad_row(tmp_path, bad):
-    good = json.dumps(verify_bound(IndexKind.H, 6, 1).to_dict()).encode("ascii")
+    row = verify_bound(IndexKind.H, 6, 1).to_dict()
+    good = json.dumps(row).encode("ascii")
+    if isinstance(bad, dict):  # parses, but to_dict would not write it back
+        bad = json.dumps({**row, **bad}).encode("ascii")
     path = tmp_path / "rows.jsonl"
     path.write_bytes(good + b"\n\n" + bad + b"\n")  # blank lines still count
     with pytest.raises(ValueError, match=r"rows\.jsonl, line 3: "):

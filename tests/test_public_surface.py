@@ -6,7 +6,9 @@ linter is needed. Catches stale exports (a listed name that no longer
 exists), duplicates, public imports left out of __all__, and orphans:
 module-level functions, classes and constants that are not exported, not
 referred to by any other statement of the package, and not a registered
-command. Code only the tests call belongs in tests/reference.py.
+command. Code only the tests call belongs in tests/reference.py. Also
+catches an import that its module never uses (__init__.py re-exports, and
+a line marked `# noqa: F401` keeps its import on purpose).
 """
 
 from __future__ import annotations
@@ -95,3 +97,26 @@ def test_no_orphaned_library_code():
         and not any(name in seen for j, seen in enumerate(mentions) if j != i)
     ]
     assert orphans == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never mentions, except on `# noqa: F401` lines."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{alias.lineno}: {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for name in [alias.asname or alias.name.split(".")[0]]
+        if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]
+    ]
+
+
+def test_no_unused_imports():
+    modules = [p for p in sorted(Path(bindex.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    assert modules, "no modules found"
+    assert [line for p in modules for line in _unused_imports(p)] == []

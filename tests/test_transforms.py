@@ -386,10 +386,9 @@ def test_across_part_shift_rejects_bad_input():
 
 def test_probe_star_and_cycle_are_consistent():
     for g in (star(6), cycle(6)):
-        report = monotonicity_probe(g)
-        assert report.consistent
-        assert all(p.consistent for p in report.probes)
-    assert len(monotonicity_probe(star(6)).probes) == 10  # all leaf pairs
+        probes = monotonicity_probe(g)
+        assert all(p.consistent for p in probes)
+    assert len(monotonicity_probe(star(6))) == 10  # all leaf pairs
 
 
 def test_probe_computes_the_base_graph_once(monkeypatch):
@@ -405,16 +404,16 @@ def test_probe_is_isomorphism_invariant():
     g = two_triangles()
     a = monotonicity_probe(g)
     b = monotonicity_probe(scrambled(rng, g))
-    assert a.consistent == b.consistent
-    assert len(a.probes) == len(b.probes)
+    assert all(p.consistent for p in a) == all(p.consistent for p in b)
+    assert len(a) == len(b)
 
 
 def test_probe_sampling_is_deterministic():
     g = cycle(8)
     a = monotonicity_probe(g, samples=5, seed=3)
     b = monotonicity_probe(g, samples=5, seed=3)
-    assert [(p.u, p.v) for p in a.probes] == [(p.u, p.v) for p in b.probes]
-    assert len(a.probes) == 5
+    assert [(p.u, p.v) for p in a] == [(p.u, p.v) for p in b]
+    assert len(a) == 5
 
 
 def test_probe_rejects_complete_and_disconnected():
