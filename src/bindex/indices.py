@@ -11,11 +11,14 @@ profile's rows, one row per false-twin class (vertices with equal neighbor
 masks): the class's members, their shared degree, their eccentricity and
 the number of vertices at each distance. The profile runs one BFS per
 class, so the extremal graphs B_k(x, y), which have four such classes,
-cost four BFS runs and four rows at any size. Each BFS stops as soon as
-every vertex is seen and finds each layer top-down from the frontier or
-bottom-up from the unseen vertices, whichever tests fewer vertices; on the
-dense, twin-poor graphs of a random stream that cuts the vertex steps by 44%
-(1,621,008 -> 914,002 over 1730 graphs of 9 to 60 vertices).
+cost four BFS runs and four rows at any size. Each BFS starts at layer 1,
+the class's own neighbor mask, and finds each further layer top-down from
+the frontier or bottom-up from the candidates, whichever tests fewer
+vertices. The first BFS also finds the two sides of a bipartite graph; the
+later ones then test only the side the next layer lies on, and count the
+last layer without a step. Over the 1730 graphs of 9 to 60 vertices of a
+random stream, the bipartition cuts the vertex steps by 58% (914,002 ->
+384,635).
 
 The rows are tallied into ordered pairs per distance and degree per
 eccentricity, both only up to the diameter, and one loop over d = 1..diam
@@ -66,13 +69,23 @@ def _profile(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     Vertices with equal neighbor masks are false twins: swapping two of
     them is an automorphism, so they share one row. members is the class's
     vertex mask and degree the popcount of its shared neighbor mask. Each
-    class runs one BFS from its lowest member and stops once every vertex
-    is seen, so no last layer is expanded to find nothing; each layer's
-    count is its popcount. Each layer comes from the cheaper of two steps
+    class runs one BFS from its lowest member; layer 1 is the class's mask,
+    so the search starts there, and each layer's count is its popcount.
+    Each further layer comes from the cheaper of two steps
     (direction-optimizing BFS; Beamer, Asanovic & Patterson, SC 2012):
-    top-down ORs the neighbor masks of the frontier's class representatives,
-    bottom-up keeps each unseen vertex whose mask meets the frontier. An
-    empty layer means some vertex is unreachable.
+    top-down ORs the neighbor masks of the frontier's class
+    representatives, bottom-up keeps each candidate whose mask meets the
+    frontier. An empty layer means some vertex is unreachable.
+
+    The first class's BFS tests every unseen vertex. It is the one
+    connectivity check, and its even and odd layers are the two sides of
+    a bipartition if no class's mask meets its own side. In a bipartite
+    graph layer d lies on the side of parity d, so every later BFS tests
+    only the unseen vertices there, ends a top-down step once all of them
+    are reached, and stops as soon as the frontier's side holds no unseen
+    vertex: each vertex still unseen then has all its neighbors seen, so
+    together they are the last layer. A graph with an odd cycle keeps
+    every unseen vertex a candidate and has no such last step.
     """
     adj = g.adj
     classes: dict[int, int] = {}
@@ -82,36 +95,65 @@ def _profile(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     # twin is in the same layer as its class's lowest member, or that member
     # is the source and its neighbors are already seen at layer 1.
     reps = 0
-    for members in classes.values():
-        reps |= members & -members
+    cut = [0] * g.n  # each representative's non-neighbors, for the top-down step
+    for mask, members in classes.items():
+        low = members & -members
+        reps |= low
+        cut[low.bit_length() - 1] = ~mask
     full = (1 << g.n) - 1
     rows = []
     for mask, members in classes.items():
+        source = members & -members
         # inline, not graphs.layers: one vertex per twin class, either direction
-        frontier = members & -members
-        unseen = full ^ frontier
-        counts = [1]
+        frontier = mask
+        unseen = full ^ source ^ mask
+        counts = [1, mask.bit_count()] if mask else [1]
+        # the side of the frontier, and the side of the next layer
+        if not rows:
+            here = there = full
+            even, odd = source, mask  # the sides: this BFS's even and odd layers
+        elif source & even:
+            here, there = odd, even
+        else:
+            here, there = even, odd
         while unseen:
+            if not unseen & here:
+                counts.append(unseen.bit_count())
+                break
+            candidates = unseen & there
             top = frontier & reps
-            reach = 0
-            if top.bit_count() <= unseen.bit_count():
+            if top.bit_count() <= candidates.bit_count():
+                left = candidates
                 while top:
                     low = top & -top
-                    reach |= adj[low.bit_length() - 1]
+                    left &= cut[low.bit_length() - 1]
+                    if not left:
+                        break
                     top ^= low
-                frontier = reach & unseen
+                frontier = candidates ^ left
             else:
-                bottom = unseen
-                while bottom:
-                    low = bottom & -bottom
+                reach = 0
+                while candidates:
+                    low = candidates & -candidates
                     if adj[low.bit_length() - 1] & frontier:
                         reach |= low
-                    bottom ^= low
+                    candidates ^= low
                 frontier = reach
             if not frontier:
                 raise ValueError("index undefined: graph is disconnected")
+            if not rows:
+                if len(counts) & 1:
+                    odd |= frontier
+                else:
+                    even |= frontier
             unseen ^= frontier
             counts.append(frontier.bit_count())
+            here, there = there, here
+        if not rows:
+            for nbrs, group in classes.items():
+                if nbrs & (even if group & even else odd):
+                    even = odd = full  # an odd cycle: no sides to use
+                    break
         rows.append((members, mask.bit_count(), len(counts) - 1, tuple(counts)))
     return rows
 

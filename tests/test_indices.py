@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.indices import IndexKind, _profile, all_indices, compute
-from bindex.graphs import is_connected, new_graph
+from bindex.graphs import add_edge, distances_from, is_connected, new_graph
 from bindex.oracle import enumerate_connected_bipartite
 from conftest import outcome, random_connected_bipartite
-from reference import cei_by_edges, eds_by_pairs, indices_from_rows, per_source_profile
+from reference import bipartition, cei_by_edges, eds_by_pairs, indices_from_rows, per_source_profile
 
 F = Fraction
 W, WW, H, CEI, EDS = IndexKind
@@ -144,6 +144,17 @@ def test_profile_matches_per_source_bfs_on_twin_poor_graphs():
         reference = per_source_profile(g)
         assert per_vertex_profile(g) == reference
         assert all_indices(g) == indices_from_rows(reference)
+        # one same-colour edge between the two deepest vertices of one colour,
+        # seen from vertex 0 (the first class's source): an odd cycle, so every
+        # later BFS tests all unseen vertices and has no closing last layer
+        dist = distances_from(g, 0)
+        u = max(range(g.n), key=dist.__getitem__)
+        same_colour = [w for w in range(g.n) if w != u and (dist[w] - dist[u]) % 2 == 0]
+        odd = add_edge(g, u, max(same_colour, key=dist.__getitem__))
+        assert bipartition(odd) is None
+        reference = per_source_profile(odd)
+        assert per_vertex_profile(odd) == reference
+        assert all_indices(odd) == indices_from_rows(reference)
         # the same graph beside a copy of itself: disconnected, both must say so
         twice = new_graph(2 * g.n, g.edges() + tuple((u + g.n, v + g.n) for u, v in g.edges()))
         assert outcome(per_vertex_profile, twice) == outcome(per_source_profile, twice)
@@ -223,6 +234,8 @@ def twin_blowups(draw):
 @example(new_graph(1))
 @example(new_graph(4, [(0, 1), (2, 3)]))
 @example(new_graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)]))
+@example(new_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6), (6, 7)]))
+@example(new_graph(2, [(0, 1)]))
 def test_profile_matches_per_source_bfs_on_random_graphs(g):
     # disconnected graphs must raise the same ValueError on both sides; K_1
     # has a profile on both, and its cei error is checked above
