@@ -11,8 +11,7 @@ first; a cell search finds all 730 at n = 9 in about 0.1 s of CPU.
 Breadth-first search is one primitive, layers(), which yields the BFS
 layers from one root as vertex masks. Distances, connectivity, cut edges
 and the shores of a cut edge are all built on it. The one inline fork is
-indices._profile, which expands one vertex per twin class, takes each
-layer top-down or bottom-up, whichever tests fewer vertices, and in a
+indices._profile, which expands one vertex per twin class and in a
 bipartite graph tests only the side the next layer lies on.
 """
 

@@ -1,4 +1,6 @@
-"""Acceptance gate: seven criteria, one test per criterion.
+"""Acceptance gate: seven criteria, one test each, plus a second test for
+criterion 1 that extends its n <= 60 sweep to every n by polynomial
+identity.
 
 Each test prints one PASS line when it holds; criterion 3 also runs the
 n = 9 verification sweep (730 classes, well under a second).
@@ -14,7 +16,7 @@ import pytest
 
 from bindex.constructors import BkSpec, DecoratedCore, b_graph, realize
 from bindex.extremal import admissible_x, closed_form, reconcile
-from bindex.graphs import bridges, certificate, graph6_decode
+from bindex.graphs import bridges, certificate, distances_from, graph6_decode
 from bindex.indices import IndexKind, all_indices, compute
 from bindex.oracle import (
     complete_bipartite_blocks,
@@ -64,6 +66,69 @@ def test_criterion_1_closed_forms_match_direct_computation():
     print(
         f"PASS criterion 1: closed forms equal direct indices at all "
         f"{points} family members for 5 <= n <= 60 ({elapsed:.1f}s)"
+    )
+
+
+def test_criterion_1_closed_forms_hold_for_every_n():
+    """Criterion 1 at every n, from a distance table and 27 points.
+
+    B_k(x, y) has four false-twin classes: the decorated vertex (size 1),
+    the other X vertices (x - 1), Y (y) and the pendants (k). The distance
+    between two distinct vertices depends only on their classes. In that
+    class order the rows are (-, 2, 1, 1), (2, 2, 1, 3), (1, 1, 2, 2) and
+    (1, 3, 2, 2), the eccentricities 2, 3, 2, 3 and the degrees y + k, y,
+    x, 1, for every x >= 2, y >= 1 and k >= 1: permuting a class is an
+    automorphism, so a distance depends only on the two classes, and each
+    shortest path runs through the decorated vertex or any one Y vertex,
+    so no distance changes as a class grows. The first loop checks the
+    table on a grid.
+
+    So each index is a fixed sum over class pairs and classes. W, WW and H
+    sum a pair count (a product of two class sizes, or a size times that
+    size less one) times a function of the table's distance; CEI sums a
+    size times a degree over a fixed eccentricity; EDS sums a size times a
+    fixed eccentricity times a transmission that is linear in the sizes.
+    Each term has degree at most 2 in each of x, y and k. Each closed form
+    has total degree 2 in (n, k, x), and n = x + y + k, so it too has
+    degree at most 2 in each of x, y and k. The difference of the two is
+    then a polynomial of degree at most 2 in each variable. One that
+    vanishes on a product of three 3-point sets vanishes everywhere (fix
+    two variables: a degree-2 polynomial in the third with three roots is
+    zero; tensor-product interpolation). The 27 points {2, 3, 4} x
+    {4, 5, 6} x {1, 2, 3} are such a product, so where the closed forms
+    are defined, 2 <= x <= y and k >= 1, they equal the direct indices at
+    every n, not only at the n <= 60 of the sweep above.
+    """
+    table = ((None, 2, 1, 1), (2, 2, 1, 3), (1, 1, 2, 2), (1, 3, 2, 2))
+    eccentricities = (2, 3, 2, 3)
+    checked = 0
+    for x in range(2, 7):
+        for y in range(1, 8):
+            for k in range(1, 5):
+                g = realize(DecoratedCore.make(x, y, {0: k}))  # b_graph's labeling
+                cls = [0] + [1] * (x - 1) + [2] * y + [3] * k
+                degrees = (y + k, y, x, 1)
+                for u in range(g.n):
+                    dist = distances_from(g, u)
+                    assert max(dist) == eccentricities[cls[u]], (x, y, k, u)
+                    assert g.degree(u) == degrees[cls[u]], (x, y, k, u)
+                    for v in range(g.n):
+                        expected = 0 if u == v else table[cls[u]][cls[v]]
+                        assert dist[v] == expected, (x, y, k, u, v)
+                checked += 1
+    points = 0
+    for x in (2, 3, 4):
+        for y in (4, 5, 6):
+            for k in (1, 2, 3):
+                n = x + y + k
+                direct = all_indices(b_graph(BkSpec(n, k, x)))
+                for kind in IndexKind:
+                    assert closed_form(kind, n, k, x) == direct[kind], (kind, n, k, x)
+                points += 1
+    assert (checked, points) == (140, 27)
+    print(
+        f"PASS criterion 1 (every n): class distance table on {checked} "
+        f"graphs, closed forms equal direct indices at {points} interpolation points"
     )
 
 

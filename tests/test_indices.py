@@ -137,7 +137,8 @@ def test_profile_matches_per_source_bfs_on_every_class():
 
 def test_profile_matches_per_source_bfs_on_twin_poor_graphs():
     # 20 to 60 vertices, few twins, dense to sparse: the frontier soon
-    # outgrows the unseen rest, so the profile takes the bottom-up step
+    # outgrows the unseen rest, so a step expands many representatives
+    # against few candidates and often ends early, once all are reached
     rng = random.Random(15)
     for _ in range(30):
         g = random_connected_bipartite(rng, 20, 60)
@@ -181,10 +182,10 @@ def caterpillar(spine, legs):
     + [f"tree300_{seed}" for seed in range(4, 6)],
 )
 def test_profile_matches_per_source_bfs_on_paths_and_trees(g):
-    # thin frontiers and many unseen vertices: the top-down step wins on
-    # nearly every layer, the bottom-up one only at the very end; diameters
-    # up to 299 make the common denominator lcm(1..diam) of H and CEI a
-    # very large integer
+    # thin frontiers, many unseen vertices and diameters up to 299: up to
+    # hundreds of steps per BFS, each expanding few representatives; the
+    # long diameters also make the common denominator lcm(1..diam) of H
+    # and CEI a very large integer
     reference = per_source_profile(g)
     assert per_vertex_profile(g) == reference
     assert typed(all_indices(g)) == typed(indices_from_rows(reference))
