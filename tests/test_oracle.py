@@ -67,6 +67,11 @@ def test_enumeration_class_count_n11():
     got = list(enumerate_connected_bipartite(11, cap=11))
     assert len(got) == 25598
     assert len({certificate(g) for g in got}) == 25598  # no class listed twice
+    # sha256 of the graph6 lines in yield order, as the field-subtracting
+    # packed search first yielded them
+    lines = "\n".join(graph6_encode(g) for g in got)
+    digest = hashlib.sha256(lines.encode("ascii")).hexdigest()
+    assert digest == "b4b7ba528dd171a871a772a1754e423a77beda4601452fc3861e262e3a17b840"
 
 
 @pytest.mark.parametrize(
@@ -100,11 +105,11 @@ def test_search_yields_the_whole_multiset_rule(s, t):
 
 
 @pytest.mark.parametrize(
-    "s, t", [(s, n - s) for n in range(2, 11) for s in range(1, n // 2 + 1)]
+    "s, t", [(s, n - s) for n in range(2, 12) for s in range(1, n // 2 + 1)]
 )
 def test_packed_search_matches_the_reference_search(s, t):
-    # every split with n <= 10: (5, 5), and t = 3 and t = 7, where a count
-    # digit can fill up (t = 2**digit - 1)
+    # every split with n <= 11: (5, 5), (5, 6) with 120 permutation fields,
+    # and t = 3 and t = 7, where a count digit can fill up (t = 2**digit - 1)
     assert list(oracle._classes_with_parts(s, t)) == list(reference.classes_with_parts(s, t))
 
 
