@@ -387,10 +387,13 @@ def cmd_probe() -> None:
 @cmd_probe.command("add-edge")
 @click.option("--g6", required=True, help="input graph")
 @click.option("--samples", type=int, default=None, help="absent edges to sample; default all")
-@click.option("--seed", type=int, default=0, show_default=True, help="sampling seed")
+@click.option("--seed", type=int, default=0, show_default=True, help="sampling seed; needs --samples")
 @_contract_output
 def probe_add_edge(g6: str, samples, seed: int, strict: bool, fmt: str) -> None:
     """Every index must move strictly the right way on each added edge."""
+    seed_from = click.get_current_context().get_parameter_source("seed")
+    if samples is None and seed_from == click.core.ParameterSource.COMMANDLINE:
+        raise click.UsageError("--seed needs --samples")  # the seed only picks the sample
     probes = monotonicity_probe(graph6_decode(g6), samples, seed)
     columns = ["u", "v"] + [f"d_{x.value}" for x in IndexKind] + ["ok"]
     rows = []

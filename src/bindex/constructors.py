@@ -31,7 +31,7 @@ def star(n: int) -> Graph:
     """K_{1,n-1} with the center labeled 0."""
     if n < 2:
         raise Infeasible(f"star needs n>=2, got n={n}")
-    return new_graph(n, ((0, v) for v in range(1, n)))
+    return complete_bipartite(1, n - 1)
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
@@ -132,6 +132,8 @@ class BkSpec:
             raise Infeasible(
                 f"x={x} violates 2 <= x <= n-k-x = {n - k - x} for n={n}, k={k}"
             )
+        x = int(x)  # an equal Fraction or float is stored as the int it equals
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", n - k - x)
 
     @property

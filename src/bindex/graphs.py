@@ -5,8 +5,9 @@ vertex, so there is no hard size cap; masks stay fast at the sizes this
 package works with (n up to a few hundred). Everything here is deterministic
 and side-effect free: distance rows, cut edges, canonical certificates and
 the graph6 interchange format. A certificate is the minimal adjacency
-string as graph6 text, limited only by graph6's 258047 vertices, checked
-first; a cell search finds all 730 at n = 9 in about 0.1 s of CPU.
+string as graph6 text, found by a cell search that recurses once per placed
+cell: all 730 at n = 9 take about 0.1 s of CPU, and graphs that need more
+cells than Python's recursion limit (K_1100) raise RecursionError.
 
 Breadth-first search is one primitive, layers(), which yields the BFS
 layers from one root as vertex masks. Distances, connectivity, cut edges
@@ -90,25 +91,18 @@ def new_graph(n: int, edges=()) -> Graph:
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
-    """Return g plus edge (u, v); the edge must not already exist."""
-    _check_vertex(g.n, u)
-    _check_vertex(g.n, v)
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u}")
+    """Return g plus edge (u, v), built by new_graph; it must not already exist."""
+    edge = new_graph(g.n, [(u, v)])
     if g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) already present")
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
+    return Graph(g.n, tuple(a | b for a, b in zip(g.adj, edge.adj)))
 
 
-def layers(adj, root: int, within: int = -1):
+def layers(adj, root: int):
     """Yield the BFS layers from root as vertex masks; layer d is at distance d.
 
-    adj is a sequence of neighbor masks. The search enters only vertices in
-    the within mask (all by default); root itself is always layer 0. The
-    layers are disjoint, so their sum is the root's component.
+    adj is a sequence of neighbor masks. The layers are disjoint, so their
+    sum is the root's component.
     """
     seen = frontier = 1 << root
     while frontier:
@@ -116,7 +110,7 @@ def layers(adj, root: int, within: int = -1):
         reach = 0
         for v in _bits(frontier):
             reach |= adj[v]
-        frontier = reach & within & ~seen
+        frontier = reach & ~seen
         seen |= frontier
 
 
@@ -247,12 +241,14 @@ def _maximum_independent_sets(adj, cands: int) -> list[int]:
 def certificate(g: Graph) -> str:
     """Canonical form: the minimal adjacency string the search found, as graph6 text.
 
-    Two graphs are isomorphic iff their certificates are equal. The only
-    size limit is graph6's 258047 vertices, checked before the search. The
-    search takes about 0.1 s for all 730 classes at n = 9, 0.3 s for S_1200,
-    1 s for K_{600,600}, 0.12 s at P_60 and 0.5 s at P_100; but the cell
-    search can still take seconds or far longer on random trees of 30 to 60
-    vertices.
+    Two graphs are isomorphic iff their certificates are equal. graph6's
+    258047 vertices are checked before the search. The search takes about
+    0.1 s for all 730 classes at n = 9, 0.3 s for S_1200, 1 s for
+    K_{600,600}, 0.12 s at P_60 and 0.5 s at P_100; but the cell search can
+    still take seconds or far longer on random trees of 30 to 60 vertices.
+    It recurses once per placed cell, so a graph that needs more cells than
+    Python's recursion limit raises RecursionError: K_1100 does after about
+    40 s of CPU, while K_200 takes 0.2 s.
     """
     head = _g6_head(g.n)
     cols = _canonical_columns(g)

@@ -16,9 +16,7 @@ the class's own neighbor mask, and finds each further layer top-down, from
 the class representatives in the frontier. The first BFS also finds the
 two sides of a bipartite graph; the later ones then test only the side the
 next layer lies on, stop a step once that side is all reached, and count
-the last layer without a step. Over the 1730 graphs of 9 to 60 vertices of
-a random stream, that is 62% fewer vertex steps than a profile that tests
-both sides at every layer (914,002 -> 343,396).
+the last layer without a step.
 
 The rows are tallied into ordered pairs per distance and degree per
 eccentricity, both only up to the diameter, and one loop over d = 1..diam

@@ -10,11 +10,11 @@ indices in a known direction:
 * shift_pendants_across_parts: move the pendants sitting on the large-part
   vertex of a doubly decorated core over to the small-part vertex.
 
-cut_edge_context walks u's shore, the vertices u reaches without w, and
-reads the cut edge off it: (u, w) is one iff u is w's only neighbor there,
-and both shores hold 2+ vertices iff u's counts 2 to n-2. The context
-keeps only the graph and the edge; contract_bridge writes the merged
-neighbor masks directly.
+cut_edge_context deletes (u, w) from a copy of the adjacency and walks
+u's side, the vertices u still reaches: (u, w) is a cut edge iff that
+side misses w, and both shores hold 2+ vertices iff u's counts 2 to n-2.
+The context keeps only the graph and the edge; contract_bridge writes
+the merged neighbor masks directly.
 
 Each contract is one expectation map from every index to either its exact
 delta (a Fraction, where a closed form is known) or the sign the delta
@@ -58,15 +58,17 @@ class CutEdgeContext:
 
 def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
     """Validate that u and w are vertices of g and (u, w) is a cut edge
-    with at least 2 vertices per side."""
+    with at least 2 vertices per side: with the edge deleted, u no longer
+    reaches w. So u == w and a non-adjacent pair are no cut edge."""
     _check_vertex(g.n, u)
     _check_vertex(g.n, w)
     if not is_connected(g):
         raise ValueError("cut edge context needs a connected graph")
-    # every path from u that avoids w avoids the cut edge: that is u's side
-    side = sum(layers(g.adj, u, within=~(1 << w)))
-    # a cut edge iff u is w's only neighbor there: another closes a cycle through (u, w)
-    if g.adj[w] & side != 1 << u:
+    adj = list(g.adj)
+    adj[u] &= ~(1 << w)
+    adj[w] &= ~(1 << u)
+    side = sum(layers(adj, u))  # u's side: it holds w iff (u, w) is no cut edge
+    if side >> w & 1:
         raise ValueError(f"({u}, {w}) is not a cut edge")
     if not 2 <= side.bit_count() <= g.n - 2:  # w's shore is the other vertices
         raise ValueError("both sides of the cut edge must have at least 2 vertices")

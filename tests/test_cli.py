@@ -26,7 +26,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
-from bindex import cli, indices
+from bindex import cli, indices, oracle, transforms
 from bindex.constructors import BkSpec, b_graph, star
 from bindex.graphs import bridges, graph6_decode, graph6_encode, new_graph
 from bindex.indices import IndexKind
@@ -324,6 +324,25 @@ def test_verify_resume_rejects_a_row_it_would_not_write(tmp_path, change, messag
     assert res.stderr == f"error: {out}, line 1: not a report row ({message})\n"
 
 
+def test_verify_reports_a_computed_mismatch(monkeypatch):
+    # the oracle and the closed forms agree on every row, so break the prediction:
+    # one row's predicted value off by one
+    real = oracle.optimize
+
+    def wrong(kind, n, k):
+        bound = real(kind, n, k)
+        return replace(bound, value=bound.value + 1)
+
+    monkeypatch.setattr(oracle, "optimize", wrong)
+    args = ["verify", "--n", "5", "--index", "w", "--k", "1"]
+    res = CliRunner().invoke(cli.cli, args)
+    assert res.exit_code == 0, res.output
+    (row,) = [json.loads(line) for line in res.stdout.splitlines()]
+    assert (row["predicted_value"], row["verdict"]) == ("17", "value-mismatch")
+    assert res.stderr == "mismatch: w n=5 k=1 value-mismatch\n"
+    assert CliRunner().invoke(cli.cli, args + ["--strict"]).exit_code == 3
+
+
 def test_verify_resume_without_out_is_a_usage_error():
     res = run("verify", "--n", "5", "--resume")
     assert res.returncode == 1
@@ -603,6 +622,18 @@ def test_probe_add_edge_sampled():
     assert len(parse_csv(a.stdout)) == 4
 
 
+@pytest.mark.parametrize("seed", ["5", "0"])  # 0 is the default value, given on purpose
+def test_probe_add_edge_seed_without_samples_is_a_usage_error(seed):
+    res = run("probe", "add-edge", "--g6", "Ch", "--seed", seed)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "Usage: bindex probe add-edge [OPTIONS]\n"
+        "Try 'bindex probe add-edge --help' for help.\n"
+        "\n"
+        "Error: --seed needs --samples\n"
+    )
+
+
 def test_probe_g6_names_the_raw_argv_byte():
     # a non-UTF-8 argv byte reaches Python as a surrogate escape; the error
     # names the byte itself
@@ -794,6 +825,18 @@ def test_probe_reports_a_broken_contract(monkeypatch, broken):
     bad = "ww" if broken == "exact" else "h"
     assert {k for k, r in rows.items() if r["ok"] == "NO"} == {bad}
     assert rows[bad]["expected"] == ("-41" if broken == "exact" else "<0")
+    assert CliRunner().invoke(cli.cli, args + ["--strict"]).exit_code == 3
+
+
+def test_probe_add_edge_reports_a_broken_law(monkeypatch):
+    # every added edge obeys the law, so break the law instead: H rises, so "<0" fails
+    monkeypatch.setattr(transforms, "EDGE_ADDITION_SIGNS",
+                        {**transforms.EDGE_ADDITION_SIGNS, IndexKind.H: "<0"})
+    args = ["probe", "add-edge", "--g6", "Ch", "--format", "csv"]
+    res = CliRunner().invoke(cli.cli, args)
+    assert res.exit_code == 0, res.output
+    rows = parse_csv(res.output)
+    assert [r["ok"] for r in rows] == ["NO"] * 3  # Ch has three absent edges
     assert CliRunner().invoke(cli.cli, args + ["--strict"]).exit_code == 3
 
 

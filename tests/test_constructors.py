@@ -108,6 +108,8 @@ def test_bk_spec_validation():
         with pytest.raises(Infeasible, match=rf"^x={text} violates 2 <= x <= n-k-x = {y} for n=9, k=2$"):
             BkSpec(9, 2, x)
     assert BkSpec(9, 2, Fraction(3)).y == 4
+    assert b_graph(BkSpec(9, 2, Fraction(3))) == b_graph(BkSpec(9, 2, 3))
+    assert BkSpec(10, 2, 3.0).label() == "B_2(3,5)"
 
 
 def test_b_graph_small_example():
