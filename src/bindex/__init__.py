@@ -34,7 +34,6 @@ from .graphs import (
     add_edge,
     bridges,
     certificate,
-    distances_from,
     graph6_decode,
     graph6_encode,
     is_connected,
@@ -51,10 +50,8 @@ from .oracle import (
     verify_bound,
 )
 from .transforms import (
-    CutEdgeContext,
     ShiftPrediction,
     contract_bridge,
-    cut_edge_context,
     monotonicity_probe,
     shift_pendants_across_parts,
     shift_pendants_within_part,
@@ -66,7 +63,6 @@ __all__ = [
     "BkSpec",
     "BoundResult",
     "CaseRow",
-    "CutEdgeContext",
     "DecoratedCore",
     "Graph",
     "IndexKind",
@@ -86,8 +82,6 @@ __all__ = [
     "complete_bipartite_blocks",
     "compute",
     "contract_bridge",
-    "cut_edge_context",
-    "distances_from",
     "enumerate_connected_bipartite",
     "feasible_cut_edge_counts",
     "filter_by_cut_edges",

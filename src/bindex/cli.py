@@ -40,7 +40,6 @@ from .oracle import (
 from .transforms import (
     EDGE_ADDITION_SIGNS,
     contract_bridge,
-    cut_edge_context,
     holds,
     monotonicity_probe,
     shift_pendants_across_parts,
@@ -415,7 +414,7 @@ def probe_add_edge(g6: str, samples, seed: int, strict: bool, fmt: str) -> None:
 def probe_contract(g6: str, u: int, w: int, strict: bool, fmt: str) -> None:
     """Slide a cut edge together and hang a new pendant on the merge."""
     g = graph6_decode(g6)
-    _emit_contract(g, contract_bridge(cut_edge_context(g, u, w)), EDGE_ADDITION_SIGNS, fmt, strict)
+    _emit_contract(g, contract_bridge(g, u, w), EDGE_ADDITION_SIGNS, fmt, strict)
 
 
 @cmd_probe.command("shift-within")

@@ -16,7 +16,7 @@ each component so far from at most one color class, so no odd cycle is
 built, and the last vertex joining every component left; then each
 survivor's orbit is walked by Johnson-Trotter's adjacent transpositions,
 at most two delta swaps on the mask a step. The enumeration tests
-connectivity with graphs.layers. The two paths share no code, which is
+connectivity with graphs.is_connected. The two paths share no code, which is
 the point: their agreement is checked, not assumed, and a branch dropped
 in error would show as a count mismatch against the enumeration and OEIS
 A001832.

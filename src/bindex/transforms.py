@@ -10,11 +10,11 @@ indices in a known direction:
 * shift_pendants_across_parts: move the pendants sitting on the large-part
   vertex of a doubly decorated core over to the small-part vertex.
 
-cut_edge_context deletes (u, w) from a copy of the adjacency and walks
-u's side, the vertices u still reaches: (u, w) is a cut edge iff that
-side misses w, and both shores hold 2+ vertices iff u's counts 2 to n-2.
-The context keeps only the graph and the edge; contract_bridge writes
-the merged neighbor masks directly.
+Each operation is one call that validates its own arguments first.
+contract_bridge(g, u, w) deletes (u, w) from a copy of the adjacency and
+walks u's side, the vertices u still reaches: (u, w) is a cut edge iff
+that side misses w, and both shores hold 2+ vertices iff u's counts 2 to
+n-2. It then writes the merged neighbor masks directly.
 
 Each contract is one expectation map from every index to either its exact
 delta (a Fraction, where a closed form is known) or the sign the delta
@@ -47,19 +47,16 @@ def holds(delta, want: Fraction | str) -> bool:
     return delta == want
 
 
-@dataclass(frozen=True, eq=False)
-class CutEdgeContext:
-    """A cut edge (u, w) of a connected graph with 2+ vertices on each shore."""
+def contract_bridge(g: Graph, u: int, w: int) -> Graph:
+    """Identify the ends of the cut edge (u, w) and hang a new pendant on the merge.
 
-    graph: Graph
-    u: int
-    w: int
-
-
-def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
-    """Validate that u and w are vertices of g and (u, w) is a cut edge
-    with at least 2 vertices per side: with the edge deleted, u no longer
-    reaches w. So u == w and a non-adjacent pair are no cut edge."""
+    First checks that u and w are vertices of the connected graph g and that
+    (u, w) is a cut edge with at least 2 vertices per side: with the edge
+    deleted, u no longer reaches w. So u == w and a non-adjacent pair are no
+    cut edge. Vertex count and edge count are both preserved. W, WW and EDS
+    strictly fall; H and CEI strictly rise. Labels: w disappears, the
+    survivors keep their relative order, the new pendant becomes n-1.
+    """
     _check_vertex(g.n, u)
     _check_vertex(g.n, w)
     if not is_connected(g):
@@ -72,17 +69,6 @@ def cut_edge_context(g: Graph, u: int, w: int) -> CutEdgeContext:
         raise ValueError(f"({u}, {w}) is not a cut edge")
     if not 2 <= side.bit_count() <= g.n - 2:  # w's shore is the other vertices
         raise ValueError("both sides of the cut edge must have at least 2 vertices")
-    return CutEdgeContext(g, u, w)
-
-
-def contract_bridge(ctx: CutEdgeContext) -> Graph:
-    """Identify the ends of the cut edge and hang a new pendant on the merge.
-
-    Vertex count and edge count are both preserved. W, WW and EDS strictly
-    fall; H and CEI strictly rise. Labels: w disappears, the survivors keep
-    their relative order, the new pendant becomes n-1.
-    """
-    g, u, w = ctx.graph, ctx.u, ctx.w
     moved = g.adj[w] & ~(1 << u)  # w's other neighbors, reattached to u
     low = (1 << w) - 1
     adj = []

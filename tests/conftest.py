@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 
 from bindex.graphs import Graph, add_edge, new_graph
-from bindex.transforms import CutEdgeContext, cut_edge_context
 from reference import bipartition, relabel
 
 
@@ -41,8 +40,9 @@ def outcome(fn, arg):
         return ("ValueError", str(e))
 
 
-def random_bridge_context(rng: random.Random) -> CutEdgeContext:
-    """Two random connected bipartite sides of 2..6 vertices joined by a bridge."""
+def random_bridge_context(rng: random.Random) -> tuple[Graph, int, int]:
+    """(g, u, w): two random connected bipartite sides of 2..6 vertices
+    joined by the bridge (u, w)."""
     left = random_connected_bipartite(rng, lo=2, hi=6)
     right = random_connected_bipartite(rng, lo=2, hi=6)
     n = left.n + right.n
@@ -51,7 +51,7 @@ def random_bridge_context(rng: random.Random) -> CutEdgeContext:
     u = rng.randrange(left.n)
     w = left.n + rng.randrange(right.n)
     edges.append((u, w))
-    return cut_edge_context(new_graph(n, edges), u, w)
+    return new_graph(n, edges), u, w
 
 
 def scrambled(rng: random.Random, g: Graph) -> Graph:

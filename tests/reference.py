@@ -64,7 +64,8 @@ contract_bridge is the cut-edge contraction bindex ran before it wrote the
 merged neighbor masks directly: it relabels through a dict, rebuilds the
 edge list without w, reattaches w's other neighbors to u, hangs the new
 pendant n-1 on u and passes it all through new_graph. Both must return the
-same Graph on every context cut_edge_context accepts.
+same Graph on every (g, u, w) that bindex's contract_bridge accepts; the
+reference checks nothing, so it is called only on accepted cut edges.
 
 case_table_family is how bindex's case table decided a row's family before
 it asked admissible_x: each printed x must have denominator 1 and survive
@@ -95,7 +96,7 @@ from bindex.graphs import (
     new_graph,
 )
 from bindex.indices import IndexKind, all_indices
-from bindex.transforms import CutEdgeContext, holds
+from bindex.transforms import holds
 
 
 def canonical_columns(g: Graph) -> list[int]:
@@ -498,11 +499,10 @@ def decorated_core_graph(core: DecoratedCore) -> Graph:
     return new_graph(label, edges)
 
 
-def contract_bridge(ctx: CutEdgeContext) -> Graph:
+def contract_bridge(g: Graph, u: int, w: int) -> Graph:
     """Identify the ends of the cut edge and hang a new pendant on the merge,
     through an edge list: w disappears, the survivors keep their order, the
     new pendant becomes n-1."""
-    g, u, w = ctx.graph, ctx.u, ctx.w
     relab = {}
     nxt = 0
     for v in range(g.n):

@@ -1,6 +1,7 @@
 """Acceptance gate: seven criteria, one test each, plus a second test for
 criterion 1 that extends its n <= 60 sweep to every n by polynomial
-identity.
+identity, and a replay of the first phase of the paper's proof on every
+bound-row class with 5 <= n <= 9.
 
 Each test prints one PASS line when it holds; criterion 3 also runs the
 n = 9 verification sweep (730 classes, well under a second).
@@ -14,9 +15,24 @@ from fractions import Fraction
 
 import pytest
 
-from bindex.constructors import BkSpec, DecoratedCore, b_graph, realize
+from bindex.constructors import (
+    BkSpec,
+    DecoratedCore,
+    b_graph,
+    feasible_cut_edge_counts,
+    realize,
+    star,
+)
 from bindex.extremal import admissible_x, closed_form, reconcile
-from bindex.graphs import bridges, certificate, distances_from, graph6_decode
+from bindex.graphs import (
+    add_edge,
+    bridges,
+    certificate,
+    distances_from,
+    graph6_decode,
+    graph6_encode,
+    layers,
+)
 from bindex.indices import IndexKind, all_indices, compute
 from bindex.oracle import (
     complete_bipartite_blocks,
@@ -25,7 +41,9 @@ from bindex.oracle import (
     verification_sweep,
 )
 from bindex.transforms import (
+    EDGE_ADDITION_SIGNS,
     contract_bridge,
+    holds,
     monotonicity_probe,
     shift_pendants_across_parts,
     shift_pendants_within_part,
@@ -209,8 +227,8 @@ def test_criterion_5_transformation_contracts():
     # cut edge contraction: strict directions on 200 seeded contexts
     rng = random.Random(1789)
     for _ in range(200):
-        ctx = random_bridge_context(rng)
-        deltas = index_deltas(ctx.graph, contract_bridge(ctx))
+        g, u, w = random_bridge_context(rng)
+        deltas = index_deltas(g, contract_bridge(g, u, w))
         assert deltas[W] < 0 and deltas[WW] < 0 and deltas[EDS] < 0
         assert deltas[H] > 0 and deltas[CEI] > 0
 
@@ -280,4 +298,87 @@ def test_criterion_7_enumeration_soundness():
     print(
         f"PASS criterion 7: labeled scan and canonical generator agree on "
         f"all classes up to 7 vertices ({elapsed:.1f}s)"
+    )
+
+
+def _addable_edge(g, cut):
+    """The lowest absent pair (u, v), u < v, of opposite colours inside one
+    2-edge-connected component, or None: with the cut edges deleted, v lies
+    in an odd BFS layer from u."""
+    adj = list(g.adj)
+    for a, b in cut:
+        adj[a] &= ~(1 << b)
+        adj[b] &= ~(1 << a)
+    for u in range(g.n):
+        odd = sum(layer for d, layer in enumerate(layers(adj, u)) if d % 2)
+        free = odd & ~g.adj[u] & -(2 << u)  # absent, and above u
+        if free:
+            return u, (free & -free).bit_length() - 1
+    return None
+
+
+def _contractible(g, cut):
+    """contract_bridge(g, u, w) of the first sorted cut edge with 2+ vertices
+    on each shore, or None when every cut edge has a single vertex on a side."""
+    for u, w in sorted(cut):
+        try:
+            return contract_bridge(g, u, w)
+        except ValueError as e:
+            assert str(e) == "both sides of the cut edge must have at least 2 vertices"
+    return None
+
+
+def test_proof_phase_1_replays_on_every_class():
+    """Phase 1 of the paper's extremal argument, replayed on every class.
+
+    For every connected bipartite class with 5 <= n <= 9 whose k is a bound
+    row (762 classes), repeat until neither step applies: add the lowest
+    absent opposite-colour edge inside a 2-edge-connected component, else
+    contract the first sorted cut edge with two vertices or more on each
+    shore. Each step must keep k and move every index as adding an edge
+    does (EDGE_ADDITION_SIGNS). Then every cut edge is pendant and the one
+    block left is complete bipartite: the 90 trees end as the star, the
+    other 672 classes as a decorated K_{s,t}. The run makes 1268 edge
+    additions and 569 contractions. Phase 2, gathering the pendants with
+    the two shifts, is not replayed here.
+    """
+    started = time.monotonic()
+    classes = trees = additions = contractions = 0
+    for n in range(5, 10):
+        for g in enumerate_connected_bipartite(n):
+            cut = bridges(g)
+            k = len(cut)
+            if k not in feasible_cut_edge_counts(n)[1:]:  # the bound rows
+                continue
+            classes += 1
+            while True:
+                edge = _addable_edge(g, cut)
+                after = add_edge(g, *edge) if edge else _contractible(g, cut)
+                if after is None:
+                    break
+                additions += edge is not None
+                contractions += edge is None
+                assert len(bridges(after)) == k, (graph6_encode(g), edge)
+                deltas = index_deltas(g, after)
+                assert all(holds(deltas[x], want) for x, want in EDGE_ADDITION_SIGNS.items())
+                g, cut = after, bridges(after)
+            if k == n - 1:
+                trees += 1
+                assert certificate(g) == certificate(star(n)), graph6_encode(g)
+                continue
+            assert complete_bipartite_blocks(g), graph6_encode(g)
+            core = [v for v in range(n) if g.degree(v) > 1]
+            side = sum(list(layers(g.adj, core[0]))[::2])  # core[0]'s colour
+            xs = [v for v in core if side >> v & 1]
+            ys = [v for v in core if not side >> v & 1]
+            counts = {i: sum(g.degree(p) == 1 for p in g.neighbors(v)) for i, v in enumerate(xs + ys)}
+            end = realize(DecoratedCore.make(len(xs), len(ys), counts))
+            assert certificate(end) == certificate(g), graph6_encode(g)
+    assert (classes, trees) == (762, 90)
+    assert (additions, contractions) == (1268, 569)
+    elapsed = time.monotonic() - started
+    print(
+        f"PASS proof phase 1: {additions} edge additions and {contractions} "
+        f"contractions take all {classes} bound-row classes with 5 <= n <= 9 "
+        f"to a star or a decorated K_(s,t) ({elapsed:.1f}s)"
     )

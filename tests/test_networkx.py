@@ -25,7 +25,7 @@ from bindex.graphs import (
 )
 from bindex.indices import IndexKind, compute
 from bindex.oracle import complete_bipartite_blocks
-from bindex.transforms import cut_edge_context
+from bindex.transforms import contract_bridge
 from reference import bipartition, relabel
 
 nx = pytest.importorskip("networkx")
@@ -162,6 +162,6 @@ def test_cut_edge_sides(g):
         side_u = nx.node_connected_component(h, u)
         if len(side_u) < 2 or g.n - len(side_u) < 2:
             with pytest.raises(ValueError):
-                cut_edge_context(g, u, w)
+                contract_bridge(g, u, w)
             continue
-        cut_edge_context(g, u, w)  # accepted: two vertices or more on each shore
+        contract_bridge(g, u, w)  # accepted: two vertices or more on each shore

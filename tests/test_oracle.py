@@ -13,6 +13,7 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -428,6 +429,30 @@ def test_complete_bipartite_blocks():
         assert not complete_bipartite_blocks(g), g
 
 
+def a001832(n: int) -> int:
+    """Labeled connected bipartite graphs on n vertices, by formula.
+
+    c(m) = sum over j of C(m, j) 2^(j(m-j)) counts the 2-coloured labeled
+    graphs on m vertices. Their exponential generating function is the
+    exponential of the connected ones', and a connected bipartite graph has
+    exactly two colourings, so the count is n!/2 times the n-th coefficient
+    of log(sum c(m) x^m/m!) (Harary & Palmer, Graphical Enumeration, 1973).
+    With f_0 = 1, L = log f satisfies f L' = f', so n L_n is n f_n less the
+    sum over 0 < j < n of j L_j f_(n-j). Fractions throughout: sum() of
+    nothing is the int 0, and an int divided by n would be a float.
+    """
+    f = [
+        Fraction(sum(comb(m, j) * 2 ** (j * (m - j)) for j in range(m + 1)), factorial(m))
+        for m in range(n + 1)
+    ]
+    log = [Fraction(0)]
+    for m in range(1, n + 1):
+        log.append(f[m] - sum((j * log[j] * f[m - j] for j in range(1, m)), Fraction(0)) / m)
+    count = factorial(n) * log[n] / 2
+    assert count.denominator == 1
+    return count.numerator
+
+
 def test_labeled_scan_counts():
     assert labeled_connected_bipartite_masks(1) == [0]  # K_1: no pairs, one empty mask
     assert len(labeled_connected_bipartite_masks(2)) == 1
@@ -438,6 +463,10 @@ def test_labeled_scan_counts():
     assert len(labeled_connected_bipartite_masks(5)) == 195
     assert len(labeled_connected_bipartite_masks(6)) == 3031
     assert len(labeled_connected_bipartite_masks(7)) == 67263
+    for n in range(1, 8):
+        assert a001832(n) == len(labeled_connected_bipartite_masks(n)), n
+    assert a001832(11) == 426_609_529_863
+    assert a001832(12) == 47_982_981_969_979
     for n in (0, 8):
         with pytest.raises(ValueError, match=rf"^labeled scan supports 1 <= n <= 7, got n={n}$"):
             labeled_connected_bipartite_masks(n)

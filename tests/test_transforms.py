@@ -18,7 +18,6 @@ from bindex.oracle import enumerate_connected_bipartite
 from bindex.transforms import (
     EDGE_ADDITION_SIGNS,
     contract_bridge,
-    cut_edge_context,
     holds,
     monotonicity_probe,
     shift_pendants_across_parts,
@@ -72,8 +71,7 @@ def test_holds_knows_no_non_strict_sign():
 
 def test_contract_bridge_turns_p4_into_star():
     g = path(4)
-    ctx = cut_edge_context(g, 1, 2)
-    after = contract_bridge(ctx)
+    after = contract_bridge(g, 1, 2)
     assert certificate(after) == certificate(star(4))
     deltas = index_deltas(g, after)
     assert deltas[IndexKind.W] == -1
@@ -86,23 +84,23 @@ def test_contract_bridge_turns_p4_into_star():
 def test_contract_bridge_on_two_triangles():
     g = two_triangles()
     assert compute(IndexKind.W, g) == 27
-    after = contract_bridge(cut_edge_context(g, 2, 3))
+    after = contract_bridge(g, 2, 3)
     assert compute(IndexKind.W, after) == 23
     assert after.n == g.n
     assert after.edge_count == g.edge_count
 
 
-def test_cut_edge_context_rejects_bad_input():
+def test_contract_bridge_rejects_bad_input():
     with pytest.raises(ValueError):
-        cut_edge_context(cycle(4), 0, 1)  # not a cut edge
+        contract_bridge(cycle(4), 0, 1)  # not a cut edge
     with pytest.raises(ValueError):
-        cut_edge_context(path(3), 0, 1)  # one side is a single vertex
+        contract_bridge(path(3), 0, 1)  # one side is a single vertex
     with pytest.raises(ValueError):
-        cut_edge_context(new_graph(4, [(0, 1), (2, 3)]), 0, 1)  # disconnected
+        contract_bridge(new_graph(4, [(0, 1), (2, 3)]), 0, 1)  # disconnected
     # an endpoint outside the graph is named as such, not called a non-cut edge
     for u, w, bad in [(9, 1, 9), (1, 4, 4), (-1, 0, -1)]:
         with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
-            cut_edge_context(path(4), u, w)
+            contract_bridge(path(4), u, w)
 
 
 def _shore(g, u, w):
@@ -128,40 +126,40 @@ def _connected_classes(n):
     return list(found.values())
 
 
-def test_cut_edge_context_decides_every_ordered_pair():
+def test_contract_bridge_decides_every_ordered_pair():
     # every connected bipartite class to n = 7, every connected class to
     # n = 5 (odd cycles too), and seeded graphs; all pairs, u == w included
     rng = random.Random(19)
     graphs = [g for n in range(1, 8) for g in enumerate_connected_bipartite(n)]
     graphs += [g for n in range(1, 6) for g in _connected_classes(n)]
     graphs += [random_connected_bipartite(rng) for _ in range(40)]
-    graphs += [random_bridge_context(rng).graph for _ in range(40)]
+    graphs += [random_bridge_context(rng)[0] for _ in range(40)]
     accepted = 0
     for g in graphs:
         cut = bridges(g)
         for u in range(g.n):
             for w in range(g.n):
-                ctx = outcome(lambda pair: cut_edge_context(g, *pair), (u, w))
+                after = outcome(lambda pair: contract_bridge(g, *pair), (u, w))
                 if (min(u, w), max(u, w)) not in cut:
-                    assert ctx == ("ValueError", f"({u}, {w}) is not a cut edge"), (g, u, w)
+                    assert after == ("ValueError", f"({u}, {w}) is not a cut edge"), (g, u, w)
                     continue
                 side = _shore(g, u, w)
                 if min(len(side), g.n - len(side)) < 2:
-                    assert ctx == ("ValueError", "both sides of the cut edge must have at least 2 vertices")
+                    assert after == ("ValueError", "both sides of the cut edge must have at least 2 vertices")
                     continue
-                assert contract_bridge(ctx) == reference.contract_bridge(ctx), (g, u, w)
+                assert after == reference.contract_bridge(g, u, w), (g, u, w)
                 accepted += 1
-    assert accepted == 254  # contexts with two vertices or more on each shore
+    assert accepted == 254  # cut edges with two vertices or more on each shore
 
 
 def test_contract_bridge_directions_on_seeded_contexts():
     rng = random.Random(2024)
     for _ in range(200):
-        ctx = random_bridge_context(rng)
-        after = contract_bridge(ctx)
-        assert after.n == ctx.graph.n
-        assert after.edge_count == ctx.graph.edge_count
-        assert edge_addition_law_holds(index_deltas(ctx.graph, after))
+        g, u, w = random_bridge_context(rng)
+        after = contract_bridge(g, u, w)
+        assert after.n == g.n
+        assert after.edge_count == g.edge_count
+        assert edge_addition_law_holds(index_deltas(g, after))
 
 
 @st.composite
@@ -179,25 +177,27 @@ def connected_bipartite(draw):
 
 @st.composite
 def bridge_contexts(draw):
-    """Two connected bipartite sides joined by any bridge, labels shuffled."""
+    """(g, u, w): two connected bipartite sides joined by any bridge (u, w),
+    labels shuffled."""
     (a, left), (b, right) = draw(connected_bipartite()), draw(connected_bipartite())
     u = draw(st.integers(0, a - 1))
     w = a + draw(st.integers(0, b - 1))
     edges = left + [(x + a, y + a) for x, y in right] + [(u, w)]
     label = draw(st.permutations(range(a + b)))
     g = new_graph(a + b, [(label[x], label[y]) for x, y in edges])
-    return cut_edge_context(g, label[u], label[w])
+    return g, label[u], label[w]
 
 
 @settings(max_examples=400, deadline=None, database=None)
 @given(bridge_contexts())
-@example(cut_edge_context(path(4), 1, 2))
-def test_contract_bridge_contract_on_any_bridge(ctx):
-    after = contract_bridge(ctx)
-    assert after == reference.contract_bridge(ctx)
-    assert after.n == ctx.graph.n
-    assert after.edge_count == ctx.graph.edge_count
-    deltas = index_deltas(ctx.graph, after)
+@example((path(4), 1, 2))
+def test_contract_bridge_contract_on_any_bridge(bridge):
+    g, u, w = bridge
+    after = contract_bridge(g, u, w)
+    assert after == reference.contract_bridge(g, u, w)
+    assert after.n == g.n
+    assert after.edge_count == g.edge_count
+    deltas = index_deltas(g, after)
     assert deltas[IndexKind.W] < 0
     assert deltas[IndexKind.WW] < 0
     assert deltas[IndexKind.EDS] < 0
