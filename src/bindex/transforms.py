@@ -60,7 +60,7 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
     _check_vertex(g.n, u)
     _check_vertex(g.n, w)
     if not is_connected(g):
-        raise ValueError("cut edge context needs a connected graph")
+        raise ValueError("contract_bridge needs a connected graph")
     adj = list(g.adj)
     adj[u] &= ~(1 << w)
     adj[w] &= ~(1 << u)

@@ -67,6 +67,16 @@ pendant n-1 on u and passes it all through new_graph. Both must return the
 same Graph on every (g, u, w) that bindex's contract_bridge accepts; the
 reference checks nothing, so it is called only on accepted cut edges.
 
+parity_bounds is the oracle's bound on each index, summed vertex by
+vertex from the parity of every distance, with the parts from bipartition:
+the oracle sums each part in closed form from its count of full vertices.
+Both must give the same five values on every connected bipartite graph.
+
+best_multi is the ranking the oracle ran before its branch and bound: it
+computes every index of every candidate and keeps, per kind, the optimum
+and every graph attaining it. The pruned ranking must give the same value
+and the same extremal graphs on every group of candidates.
+
 case_table_family is how bindex's case table decided a row's family before
 it asked admissible_x: each printed x must have denominator 1 and survive
 BkSpec, whose Infeasible marks the row invalid, and an x-free row with
@@ -522,6 +532,40 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
             edges.append((relab[u], relab[z]))
     edges.append((relab[u], g.n - 1))
     return new_graph(g.n, edges)
+
+
+def parity_bounds(g: Graph) -> dict[IndexKind, int | Fraction]:
+    """Lower bounds on W, WW and EDS, upper bounds on H and CEI, per vertex pair
+    and per vertex: distance 1 on an edge, else at least 2 within a part and
+    3 across; eccentricity 1, 2 or 3 by whether the vertex sees the far part."""
+    part = bipartition(g)
+    side = [v in part.part_x for v in range(g.n)]
+    own = [len(part.part_x) if x else len(part.part_y) for x in side]
+    w = ww = eds = 0
+    h = cei = Fraction(0)
+    for u in range(g.n):
+        deg, other = g.degree(u), g.n - own[u]
+        ecc = 3 if deg < other else 2 if own[u] > 1 else 1
+        cei += Fraction(deg, ecc)
+        eds += ecc * (deg + 2 * (own[u] - 1) + 3 * (other - deg))
+        for v in range(u + 1, g.n):
+            d = 1 if g.has_edge(u, v) else 2 if side[u] == side[v] else 3
+            w += d
+            ww += (d + d * d) // 2
+            h += Fraction(1, d)
+    return {IndexKind.W: w, IndexKind.WW: ww, IndexKind.H: h, IndexKind.CEI: cei, IndexKind.EDS: eds}
+
+
+def best_multi(candidates, kinds) -> dict[IndexKind, tuple[int | Fraction, list[Graph]]]:
+    """Each kind's optimum over candidates, with every graph attaining it,
+    from every index of every candidate."""
+    values = [(g, all_indices(g)) for g in candidates]
+    out = {}
+    for kind in kinds:
+        pick = min if kind.bound_direction == "lower" else max
+        opt = pick(vals[kind] for _, vals in values)
+        out[kind] = (opt, [g for g, vals in values if vals[kind] == opt])
+    return out
 
 
 def case_table_family(

@@ -686,6 +686,13 @@ def test_probe_contract_names_an_endpoint_out_of_range():
     assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: vertex 9 out of range for n=4\n")
 
 
+def test_probe_contract_names_a_disconnected_graph():
+    res = run("probe", "contract", "--g6", "CA", "--u", "1", "--w", "3")  # CA: one edge, (1, 3)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        1, "", "error: contract_bridge needs a connected graph\n"
+    )
+
+
 def test_probe_shifts():
     res = run("probe", "shift-within", "--s", "3", "--t", "3", "--a", "2",
               "--b", "3", "--others", "2:1", "--strict", "--format", "csv")

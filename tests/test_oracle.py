@@ -9,7 +9,9 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
@@ -34,7 +36,7 @@ from bindex.constructors import (
 )
 from bindex.extremal import optimize
 from bindex.graphs import bridges, certificate, graph6_encode, is_connected, new_graph
-from bindex.indices import IndexKind, compute
+from bindex.indices import IndexKind, all_indices, compute
 from bindex.oracle import (
     VerificationReport,
     complete_bipartite_blocks,
@@ -47,6 +49,7 @@ from bindex.oracle import (
     verify_bound,
 )
 import reference
+from conftest import random_connected_bipartite
 from reference import bipartition
 
 W = IndexKind.W
@@ -209,6 +212,87 @@ def test_sweep_computes_only_the_requested_kinds(monkeypatch):
     assert asked and set(asked) == {(W,)}
     # W is an int per graph; the report still carries a Fraction
     assert type(report.oracle_value) is Fraction and report.oracle_value == 48
+
+
+def test_sweep_ranks_73_graphs_up_to_n10(monkeypatch):
+    # the parity bounds leave 73 of the 3790 bound-row classes to rank
+    calls = []
+    real = oracle.all_indices
+    monkeypatch.setattr(oracle, "all_indices", lambda g, kinds: calls.append(g) or real(g, kinds))
+    rows = list(verification_sweep(range(5, 11), cap=10))
+    assert len(rows) == 135 and all(r.matched for r in rows)
+    assert len(calls) == 73
+
+
+def _bound_row_groups(ns):
+    """(n, k, classes with k cut edges) for every bound row of every n in ns."""
+    for n in ns:
+        groups = oracle._by_cut_edges(enumerate_connected_bipartite(n, cap=n), bound_cut_edge_counts(n))
+        for k, group in groups.items():
+            yield n, k, group
+
+
+def test_pruned_ranking_matches_ranking_every_candidate():
+    kind_sets = [list(IndexKind)] + [[kind] for kind in IndexKind]
+    seen = 0
+    for n, k, group in _bound_row_groups(range(5, 11)):
+        seen += len(group)
+        for kinds in kind_sets:
+            got = oracle._best_multi(group, kinds)
+            want = reference.best_multi(group, kinds)
+            assert list(got) == kinds, (n, k)
+            for kind in kinds:
+                (value, graphs), (ref_value, ref_graphs) = got[kind], want[kind]
+                assert (type(value), value) == (type(ref_value), ref_value), (kind, n, k)
+                assert oracle._certs(graphs) == oracle._certs(ref_graphs), (kind, n, k)
+    assert seen == 3790
+
+
+def _bounds_and_values(g):
+    """g's parity bounds, its indices and its diameter."""
+    bound = oracle._parity_bounds(g)
+    assert bound == reference.parity_bounds(g), g
+    diam = max(ecc for _, ecc, _, _ in reference.per_source_profile(g))
+    return bound, all_indices(g), diam
+
+
+def _assert_bounds_hold(g):
+    bound, value, diam = _bounds_and_values(g)
+    for kind in IndexKind:
+        if kind.bound_direction == "lower":
+            assert bound[kind] <= value[kind], (kind, g)
+        else:
+            assert bound[kind] >= value[kind], (kind, g)
+    assert [bound[kind] == value[kind] for kind in IndexKind] == [diam <= 3] * 5, g
+    return diam
+
+
+def test_parity_bounds_hold_on_every_class_up_to_n9():
+    # from n = 2: K_1 has no CEI
+    diams = Counter(_assert_bounds_hold(g) for n in range(2, 10) for g in enumerate_connected_bipartite(n))
+    assert sum(diams.values()) == sum(CLASS_COUNTS[1:9])
+    assert sum(c for d, c in diams.items() if d > 3) > 0  # strict cases are covered too
+
+
+def test_parity_bounds_hold_on_random_graphs():
+    rng = random.Random(30)
+    graphs = [random_connected_bipartite(rng) for _ in range(300)]
+    graphs += [random_connected_bipartite(rng, 20, 60) for _ in range(60)]
+    diams = [_assert_bounds_hold(g) for g in graphs]
+    assert min(diams) <= 3 < max(diams)
+
+
+def test_parity_bounds_are_exact_on_the_extremal_families():
+    graphs = [star(n) for n in range(2, 13)]
+    graphs += [
+        b_graph(BkSpec(n, k, x))
+        for n in range(5, 13)
+        for k in bound_cut_edge_counts(n)
+        for x in admissible_x(n, k)
+    ]
+    for g in graphs:
+        bound, value, _ = _bounds_and_values(g)
+        assert bound == value, g
 
 
 def test_sweep_keeps_no_class_whose_k_has_no_rows(monkeypatch):

@@ -95,8 +95,8 @@ def test_contract_bridge_rejects_bad_input():
         contract_bridge(cycle(4), 0, 1)  # not a cut edge
     with pytest.raises(ValueError):
         contract_bridge(path(3), 0, 1)  # one side is a single vertex
-    with pytest.raises(ValueError):
-        contract_bridge(new_graph(4, [(0, 1), (2, 3)]), 0, 1)  # disconnected
+    with pytest.raises(ValueError, match="^contract_bridge needs a connected graph$"):
+        contract_bridge(new_graph(4, [(0, 1), (2, 3)]), 0, 1)
     # an endpoint outside the graph is named as such, not called a non-cut edge
     for u, w, bad in [(9, 1, 9), (1, 4, 4), (-1, 0, -1)]:
         with pytest.raises(ValueError, match=rf"^vertex {bad} out of range for n=4$"):
