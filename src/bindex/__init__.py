@@ -42,9 +42,7 @@ from .graphs import (
 from .indices import IndexKind, all_indices, compute
 from .oracle import (
     VerificationReport,
-    complete_bipartite_blocks,
     enumerate_connected_bipartite,
-    filter_by_cut_edges,
     labeled_class_certificates,
     verification_sweep,
     verify_bound,
@@ -79,12 +77,10 @@ __all__ = [
     "certificate",
     "closed_form",
     "complete_bipartite",
-    "complete_bipartite_blocks",
     "compute",
     "contract_bridge",
     "enumerate_connected_bipartite",
     "feasible_cut_edge_counts",
-    "filter_by_cut_edges",
     "graph6_decode",
     "graph6_encode",
     "is_connected",

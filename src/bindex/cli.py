@@ -32,8 +32,8 @@ from .indices import IndexKind, all_indices
 from .indices import compute  # noqa: F401  benchmarks/spans.py wraps bindex.cli.compute
 from .oracle import (
     DEFAULT_CAP,
+    _by_cut_edges,
     enumerate_connected_bipartite,
-    filter_by_cut_edges,
     load_reports,
     verification_sweep,
 )
@@ -310,7 +310,7 @@ def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
         if k not in feasible:
             ks = ", ".join(map(str, feasible))
             raise Infeasible(f"no connected bipartite graph on n={n} vertices has k={k} cut edges (feasible k: {ks})")
-        graphs = filter_by_cut_edges(graphs, k)
+        graphs = _by_cut_edges(graphs, [k])[k]
     pairs = sorted(((certificate(g), g) for g in graphs), key=lambda p: p[0])
     if fmt == "graph6":
         for cert, _ in pairs:

@@ -1,13 +1,14 @@
 """Immutable graphs with exact combinatorial primitives.
 
-Vertices are dense integers 0..n-1. Adjacency is one Python int bitmask per
-vertex, so there is no hard size cap; masks stay fast at the sizes this
-package works with (n up to a few hundred). Everything here is deterministic
-and side-effect free: distance rows, cut edges, canonical certificates and
-the graph6 interchange format. A certificate is the minimal adjacency
-string as graph6 text, found by a cell search that recurses once per placed
-cell: all 730 at n = 9 take about 0.1 s of CPU, and graphs that need more
-cells than Python's recursion limit (K_1100) raise RecursionError.
+Vertices are dense integers 0..n-1. A graph is its per-vertex neighbour
+masks, one Python int each; n is their count. There is no hard size cap,
+and masks stay fast at the sizes this package works with (n up to a few
+hundred). Everything here is deterministic and side-effect free: distance
+rows, cut edges, canonical certificates and the graph6 interchange format.
+A certificate is the minimal adjacency string as graph6 text, found by a
+cell search that recurses once per placed cell: all 730 at n = 9 take about
+0.1 s of CPU, and graphs that need more cells than Python's recursion limit
+(K_1100) raise RecursionError.
 
 Breadth-first search is one primitive, layers(), which yields the BFS
 layers from one root as vertex masks. Distances, connectivity, cut edges
@@ -40,26 +41,16 @@ def _bits(mask: int):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph: vertex count plus per-vertex neighbor masks."""
+    """Simple undirected graph: per-vertex neighbour masks; n is their count."""
 
-    n: int
     adj: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[u]))
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for u in range(self.n):
-            mask = self.adj[u] >> (u + 1) << (u + 1)  # neighbors above u
-            out.extend((u, v) for v in _bits(mask))
-        return tuple(out)
 
     @property
     def edge_count(self) -> int:
@@ -87,7 +78,7 @@ def new_graph(n: int, edges=()) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
@@ -95,7 +86,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
     edge = new_graph(g.n, [(u, v)])
     if g.has_edge(u, v):
         raise ValueError(f"edge ({u}, {v}) already present")
-    return Graph(g.n, tuple(a | b for a, b in zip(g.adj, edge.adj)))
+    return Graph(tuple(a | b for a, b in zip(g.adj, edge.adj)))
 
 
 def layers(adj, root: int):
@@ -324,4 +315,4 @@ def graph6_decode(text: str | bytes) -> Graph:
     rows = [bits[v * (v - 1) // 2 : v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
     square = "".join(rows)
     adj = (int(rows[u][::-1], 2) | int(square[u::n][::-1], 2) for u in range(n))
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))

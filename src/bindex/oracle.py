@@ -22,11 +22,12 @@ in error would show as a count mismatch against the enumeration and OEIS
 A001832.
 
 verification_sweep is the one verification path: it enumerates each n
-once, keeps the classes of each cut edge count with rows to do, finds each
-index's optimum and certifies it next to the predicted family. verify_bound
-returns one of its rows. One size guard, cap, bounds the enumeration, and
-the library certifies only graphs under it, so certificate has no guard of
-its own. The sweep checks every n and k before any work starts.
+once, keeps the classes of each cut edge count with rows to do (enumerate
+--k groups by the same _by_cut_edges), finds each index's optimum and
+certifies it next to the predicted family. verify_bound returns one of its
+rows. One size guard, cap, bounds the enumeration, and the library
+certifies only graphs under it, so certificate has no guard of its own.
+The sweep checks every n and k before any work starts.
 
 The optimum is found by branch and bound, yet stays exhaustive. In a
 connected bipartite graph every distance has the parity of its ends' parts,
@@ -37,8 +38,6 @@ requested index cannot attain any optimum and is never profiled. Walked
 densest first, the n = 5..10 sweep profiles 73 of its 3790 candidates.
 Everything runs in one process; the n = 5..10 sweep takes about 0.2 s of CPU
 (median of 7 fresh processes on a shared 2-core x86-64 VM, CPython 3.11.7).
-complete_bipartite_blocks needs no search: once the cut edges go, every
-block is K_1 or complete bipartite iff the ends of each 2-path see the same.
 """
 
 from __future__ import annotations
@@ -142,7 +141,7 @@ def _classes_with_parts(s: int, t: int) -> Iterator[Graph]:
             rows = [bits >> i * t & t_bits for i in range(s)]
             if s == t and (here + packed - sum(weight[row] for row in rows)) & guard != guard:
                 continue
-            g = Graph(s + t, tuple(row << s for row in rows) + cols + (c,))
+            g = Graph(tuple(row << s for row in rows) + cols + (c,))
             if is_connected(g):
                 yield g
 
@@ -171,10 +170,6 @@ def _by_cut_edges(graphs: Iterable[Graph], ks: list[int]) -> dict[int, list[Grap
     for g in graphs:
         groups.get(len(bridges(g)), []).append(g)
     return groups
-
-
-def filter_by_cut_edges(graphs: Iterable[Graph], k: int) -> list[Graph]:
-    return _by_cut_edges(graphs, [k])[k]
 
 
 def _parity_bounds(g: Graph) -> dict[IndexKind, int | Fraction]:
@@ -414,21 +409,6 @@ def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
                 ) from e
             out[(report.index.value, report.n, report.k)] = report
     return out
-
-
-def complete_bipartite_blocks(g: Graph) -> bool:
-    """True iff every component left after deleting the cut edges is a
-    single vertex or a complete bipartite graph.
-
-    The test: the ends of every 2-path have equal neighbor masks. Then, by
-    induction along shortest paths, each vertex shares its mask with every
-    vertex at even distance and sees every one at odd distance: a K_1 or
-    complete bipartite component. Each 2-path of K_{a,b} joins one part."""
-    adj = list(g.adj)
-    for u, v in bridges(g):
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-    return all(adj[w] == adj[v] for v in range(g.n) for u in _bits(adj[v]) for w in _bits(adj[u]))
 
 
 # ----- labeled rebuild: raw edge masks, then orbit collapse -----

@@ -79,7 +79,7 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
     root = u - (u > w)
     adj[root] |= 1 << (g.n - 1)
     adj.append(1 << root)
-    return Graph(g.n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 @dataclass(frozen=True, eq=False)

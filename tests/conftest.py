@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from bindex.graphs import Graph, add_edge, new_graph
-from reference import bipartition, relabel
+from reference import bipartition, edges, relabel
 
 
 def random_connected_bipartite(rng: random.Random, lo: int = 4, hi: int = 10) -> Graph:
@@ -46,12 +46,12 @@ def random_bridge_context(rng: random.Random) -> tuple[Graph, int, int]:
     left = random_connected_bipartite(rng, lo=2, hi=6)
     right = random_connected_bipartite(rng, lo=2, hi=6)
     n = left.n + right.n
-    edges = list(left.edges())
-    edges += [(u + left.n, v + left.n) for u, v in right.edges()]
+    pairs = list(edges(left))
+    pairs += [(u + left.n, v + left.n) for u, v in edges(right)]
     u = rng.randrange(left.n)
     w = left.n + rng.randrange(right.n)
-    edges.append((u, w))
-    return new_graph(n, edges), u, w
+    pairs.append((u, w))
+    return new_graph(n, pairs), u, w
 
 
 def scrambled(rng: random.Random, g: Graph) -> Graph:

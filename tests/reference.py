@@ -1,5 +1,14 @@
 """Plain reference paths that the library's fast paths are checked against.
 
+degree, neighbors and edges read a Graph's neighbour masks as a degree, a
+neighbour tuple and the edge list of (u, v) pairs with u < v. The library
+works on the masks directly, so only the tests call them.
+
+complete_bipartite_blocks tests the shape of the extremal graphs with no
+search: once the cut edges go, every block is K_1 or complete bipartite iff
+the ends of each 2-path see the same. It takes its cut edges from this
+module's bridges. The networkx tests check it against networkx's own blocks.
+
 canonical_columns is the vertex-by-vertex branch and bound that bindex's
 certificate used before its search by ordered cells. Both minimize the same
 column-major adjacency string, so their graph6 bytes must agree on every
@@ -107,6 +116,37 @@ from bindex.graphs import (
 )
 from bindex.indices import IndexKind, all_indices
 from bindex.transforms import holds
+
+
+def degree(g: Graph, u: int) -> int:
+    return g.adj[u].bit_count()
+
+
+def neighbors(g: Graph, u: int) -> tuple[int, ...]:
+    return tuple(_bits(g.adj[u]))
+
+
+def edges(g: Graph) -> tuple[tuple[int, int], ...]:
+    out = []
+    for u in range(g.n):
+        mask = g.adj[u] >> (u + 1) << (u + 1)  # neighbors above u
+        out.extend((u, v) for v in _bits(mask))
+    return tuple(out)
+
+
+def complete_bipartite_blocks(g: Graph) -> bool:
+    """True iff every component left after deleting the cut edges is a
+    single vertex or a complete bipartite graph.
+
+    The test: the ends of every 2-path have equal neighbor masks. Then, by
+    induction along shortest paths, each vertex shares its mask with every
+    vertex at even distance and sees every one at odd distance: a K_1 or
+    complete bipartite component. Each 2-path of K_{a,b} joins one part."""
+    adj = list(g.adj)
+    for u, v in bridges(g):
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return all(adj[w] == adj[v] for v in range(g.n) for u in _bits(adj[v]) for w in _bits(adj[u]))
 
 
 def canonical_columns(g: Graph) -> list[int]:
@@ -217,7 +257,7 @@ def classes_with_parts(s: int, t: int) -> Iterator[Graph]:
                     flipped = map(add, flipped, weight[row])
                 if max(flipped) > packed[0]:
                     continue
-            g = Graph(s + t, tuple(row << s for row in rows) + cols)
+            g = Graph(tuple(row << s for row in rows) + cols)
             if is_connected(g):
                 yield g
 
@@ -358,7 +398,7 @@ def graph6_decode(text: str | bytes) -> Graph:
         adj[v] |= col
         for u in _bits(col):
             adj[u] |= 1 << v
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
@@ -374,7 +414,7 @@ def bridges(g: Graph) -> frozenset[tuple[int, int]]:
         disc[root] = low[root] = timer
         timer += 1
         # frame: [vertex, parent, neighbor tuple, next index]
-        stack = [[root, -1, g.neighbors(root), 0]]
+        stack = [[root, -1, neighbors(g, root), 0]]
         while stack:
             frame = stack[-1]
             v, parent, nbrs, i = frame
@@ -389,7 +429,7 @@ def bridges(g: Graph) -> frozenset[tuple[int, int]]:
                 else:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append([w, v, g.neighbors(w), 0])
+                    stack.append([w, v, neighbors(g, w), 0])
             else:
                 stack.pop()
                 if parent != -1:
@@ -431,7 +471,7 @@ def relabel(g: Graph, mapping) -> Graph:
     """Apply a vertex permutation given as mapping[old] = new."""
     if sorted(mapping) != list(range(g.n)):
         raise ValueError("mapping is not a permutation of the vertex set")
-    return new_graph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges()))
+    return new_graph(g.n, ((mapping[u], mapping[v]) for u, v in edges(g)))
 
 
 def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
@@ -450,7 +490,7 @@ def per_source_profile(g: Graph) -> tuple[tuple[int, int, int, tuple[int, ...]],
         counts = [0] * (ecc + 1)
         for d in dist:
             counts[d] += 1
-        rows.append((g.degree(u), ecc, sum(dist), tuple(counts)))
+        rows.append((degree(g, u), ecc, sum(dist), tuple(counts)))
     return tuple(rows)
 
 
@@ -479,7 +519,7 @@ def cei_by_edges(g: Graph) -> Fraction:
     """CEI through its edge form: sum over edges of 1/ecc(u) + 1/ecc(v)."""
     ecc = [max(row) for row in _distance_rows(g)]
     total = Fraction(0)
-    for u, v in g.edges():
+    for u, v in edges(g):
         total += Fraction(1, ecc[u]) + Fraction(1, ecc[v])
     return total
 
@@ -520,18 +560,18 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
             continue
         relab[v] = nxt
         nxt += 1
-    edges = []
-    for a, b in g.edges():
+    out = []
+    for a, b in edges(g):
         if w in (a, b):
             continue
-        edges.append((relab[a], relab[b]))
+        out.append((relab[a], relab[b]))
     for z in range(g.n):
         # reattach w's neighbors to u; a shared neighbor would mean a cycle
         # through the cut edge, so no duplicate can arise
         if z != u and g.has_edge(w, z):
-            edges.append((relab[u], relab[z]))
-    edges.append((relab[u], g.n - 1))
-    return new_graph(g.n, edges)
+            out.append((relab[u], relab[z]))
+    out.append((relab[u], g.n - 1))
+    return new_graph(g.n, out)
 
 
 def parity_bounds(g: Graph) -> dict[IndexKind, int | Fraction]:
@@ -544,7 +584,7 @@ def parity_bounds(g: Graph) -> dict[IndexKind, int | Fraction]:
     w = ww = eds = 0
     h = cei = Fraction(0)
     for u in range(g.n):
-        deg, other = g.degree(u), g.n - own[u]
+        deg, other = degree(g, u), g.n - own[u]
         ecc = 3 if deg < other else 2 if own[u] > 1 else 1
         cei += Fraction(deg, ecc)
         eds += ecc * (deg + 2 * (own[u] - 1) + 3 * (other - deg))

@@ -35,7 +35,6 @@ from bindex.graphs import (
 )
 from bindex.indices import IndexKind, all_indices, compute
 from bindex.oracle import (
-    complete_bipartite_blocks,
     enumerate_connected_bipartite,
     labeled_class_certificates,
     verification_sweep,
@@ -49,7 +48,7 @@ from bindex.transforms import (
     shift_pendants_within_part,
 )
 from conftest import random_bridge_context, random_connected_bipartite
-from reference import index_deltas
+from reference import complete_bipartite_blocks, degree, index_deltas, neighbors
 
 F = Fraction
 
@@ -129,7 +128,7 @@ def test_criterion_1_closed_forms_hold_for_every_n():
                 for u in range(g.n):
                     dist = distances_from(g, u)
                     assert max(dist) == eccentricities[cls[u]], (x, y, k, u)
-                    assert g.degree(u) == degrees[cls[u]], (x, y, k, u)
+                    assert degree(g, u) == degrees[cls[u]], (x, y, k, u)
                     for v in range(g.n):
                         expected = 0 if u == v else table[cls[u]][cls[v]]
                         assert dist[v] == expected, (x, y, k, u, v)
@@ -275,8 +274,8 @@ def test_criterion_6_structural_facts(desk_sweep):
             assert complete_bipartite_blocks(g), report
             supports = set()
             for a, b in bridges(g):
-                assert g.degree(a) == 1 or g.degree(b) == 1, report
-                supports.add(b if g.degree(a) == 1 else a)
+                assert degree(g, a) == 1 or degree(g, b) == 1, report
+                supports.add(b if degree(g, a) == 1 else a)
             assert len(supports) <= 1, report
     print(
         "PASS criterion 6: cut-edge feasibility sets for 5 <= n <= 9 and "
@@ -367,11 +366,11 @@ def test_proof_phase_1_replays_on_every_class():
                 assert certificate(g) == certificate(star(n)), graph6_encode(g)
                 continue
             assert complete_bipartite_blocks(g), graph6_encode(g)
-            core = [v for v in range(n) if g.degree(v) > 1]
+            core = [v for v in range(n) if degree(g, v) > 1]
             side = sum(list(layers(g.adj, core[0]))[::2])  # core[0]'s colour
             xs = [v for v in core if side >> v & 1]
             ys = [v for v in core if not side >> v & 1]
-            counts = {i: sum(g.degree(p) == 1 for p in g.neighbors(v)) for i, v in enumerate(xs + ys)}
+            counts = {i: sum(degree(g, p) == 1 for p in neighbors(g, v)) for i, v in enumerate(xs + ys)}
             end = realize(DecoratedCore.make(len(xs), len(ys), counts))
             assert certificate(end) == certificate(g), graph6_encode(g)
     assert (classes, trees) == (762, 90)

@@ -14,7 +14,7 @@ from bindex.indices import IndexKind, _profile, all_indices, compute
 from bindex.graphs import add_edge, distances_from, is_connected, new_graph
 from bindex.oracle import enumerate_connected_bipartite
 from conftest import outcome, random_connected_bipartite
-from reference import bipartition, cei_by_edges, eds_by_pairs, indices_from_rows, per_source_profile
+from reference import bipartition, cei_by_edges, edges, eds_by_pairs, indices_from_rows, per_source_profile
 
 F = Fraction
 W, WW, H, CEI, EDS = IndexKind
@@ -157,7 +157,7 @@ def test_profile_matches_per_source_bfs_on_twin_poor_graphs():
         assert per_vertex_profile(odd) == reference
         assert all_indices(odd) == indices_from_rows(reference)
         # the same graph beside a copy of itself: disconnected, both must say so
-        twice = new_graph(2 * g.n, g.edges() + tuple((u + g.n, v + g.n) for u, v in g.edges()))
+        twice = new_graph(2 * g.n, edges(g) + tuple((u + g.n, v + g.n) for u, v in edges(g)))
         assert outcome(per_vertex_profile, twice) == outcome(per_source_profile, twice)
         assert outcome(per_vertex_profile, twice)[0] == "ValueError"
 

@@ -39,9 +39,7 @@ from bindex.graphs import bridges, certificate, graph6_encode, is_connected, new
 from bindex.indices import IndexKind, all_indices, compute
 from bindex.oracle import (
     VerificationReport,
-    complete_bipartite_blocks,
     enumerate_connected_bipartite,
-    filter_by_cut_edges,
     labeled_class_certificates,
     labeled_connected_bipartite_masks,
     load_reports,
@@ -159,8 +157,7 @@ def test_cut_edge_histogram_n6():
     for g in enumerate_connected_bipartite(6):
         by_k.setdefault(len(bridges(g)), []).append(g)
     assert {k: len(v) for k, v in by_k.items()} == {0: 5, 1: 2, 2: 4, 5: 6}
-    assert filter_by_cut_edges(enumerate_connected_bipartite(6), 2) == by_k[2]
-    assert filter_by_cut_edges(enumerate_connected_bipartite(6), 3) == []
+    assert oracle._by_cut_edges(enumerate_connected_bipartite(6), [2, 3]) == {2: by_k[2], 3: []}
 
 
 def test_verify_bound_known_optimum():
@@ -499,7 +496,7 @@ def test_complete_bipartite_blocks():
         realize(DecoratedCore.make(2, 3, {0: 1, 2: 1})),
     ]
     for g in positives:
-        assert complete_bipartite_blocks(g), g
+        assert reference.complete_bipartite_blocks(g), g
     c6 = new_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     two_triangles = new_graph(
         6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
@@ -510,7 +507,7 @@ def test_complete_bipartite_blocks():
          (0, 4), (1, 5), (2, 6), (3, 7)],
     )
     for g in (c6, two_triangles, cube):
-        assert not complete_bipartite_blocks(g), g
+        assert not reference.complete_bipartite_blocks(g), g
 
 
 def a001832(n: int) -> int:

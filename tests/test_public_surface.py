@@ -6,17 +6,29 @@ linter is needed. Catches stale exports (a listed name that no longer
 exists), duplicates, public imports left out of __all__, and orphans:
 module-level functions, classes and constants that are not exported, not
 referred to by any other statement of the package, and not a registered
-command. Code only the tests call belongs in tests/reference.py. Also
-catches an import that its module never uses (__init__.py re-exports, and
-a line marked `# noqa: F401` keeps its import on purpose).
+command. Also catches dead public surface: a public method or property that
+no attribute read in the package reaches, and an exported name that no
+other library module uses, README.md does not name in its code, and no file
+under benchmarks/ reads. Code only the tests call belongs in
+tests/reference.py. Also catches an import that its module never uses
+(__init__.py re-exports, and a line marked `# noqa: F401` keeps its import
+on purpose).
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import bindex
+
+PACKAGE = Path(bindex.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _modules() -> list[tuple[Path, ast.Module]]:
+    return [(path, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(PACKAGE.glob("*.py"))]
 
 
 def _imported_public_names() -> list[str]:
@@ -81,11 +93,7 @@ def _referenced_names(node: ast.stmt) -> set[str]:
 
 
 def test_no_orphaned_library_code():
-    statements = [
-        (path.stem, node)
-        for path in sorted(Path(bindex.__file__).parent.glob("*.py"))
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-    ]
+    statements = [(path.stem, node) for path, tree in _modules() for node in tree.body]
     mentions = [_referenced_names(node) for _, node in statements]
     orphans = [
         f"{module}.{name}"
@@ -97,6 +105,60 @@ def test_no_orphaned_library_code():
         and not any(name in seen for j, seen in enumerate(mentions) if j != i)
     ]
     assert orphans == []
+
+
+def test_every_public_method_is_read_in_the_library():
+    """A public method or property counts only through an attribute read
+    (g.has_edge, report.verdict), so a local variable of the same name does not."""
+    trees = [tree for _, tree in _modules()]
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [
+        f"{cls.name}.{fn.name}"
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not fn.name.startswith("_")
+        and fn.name not in read
+    ]
+    assert unread == []
+
+
+def _benchmark_reads() -> set[str]:
+    """Names, attributes, imported names and strings in the benchmark's code;
+    benchmarks/spans.py names its hooks as strings."""
+    names = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_export_is_used_named_or_benchmarked():
+    """Each bindex.__all__ name is used by a statement of another library
+    module (an import is no use), is named in README.md's code, or is read
+    by the benchmark."""
+    used = {
+        name
+        for path, tree in _modules()
+        if path.name != "__init__.py"
+        for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in _referenced_names(node) - set(_defined_names(node))
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = " ".join(re.findall(r"```.*?```|`[^`\n]*`", readme, re.S))
+    named = set(re.findall(r"\w+", code))
+    unused = sorted(set(bindex.__all__) - used - named - _benchmark_reads())
+    assert unused == []
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -117,6 +179,6 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = [p for p in sorted(Path(bindex.__file__).parent.glob("*.py")) if p.name != "__init__.py"]
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert modules, "no modules found"
     assert [line for p in modules for line in _unused_imports(p)] == []
