@@ -231,7 +231,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
             "index": kind.value,
             "n": n,
             "k": k,
-            "direction": bound.direction,
+            "direction": kind.bound_direction,
             "value": str(bound.value),
             "optimal_x": ";".join(str(v) for v in bound.optimal_x),
             "family": ";".join(spec.label() for spec in bound.family),
@@ -267,14 +267,19 @@ def cmd_verify(ns, ks, index_sel, cap, out, resume, strict) -> None:
         raise click.UsageError("--resume needs --out")
     kinds = _kinds(index_sel)
     known: dict = {}
+    glued = False  # the kept last row lost its newline, so the first new row would join it
     if resume and os.path.exists(out):
         known = load_reports(out)
+        with open(out, "rb") as fh:
+            glued = bool(known) and not fh.read().endswith(b"\n")
     reports = verification_sweep(ns, kinds, ks or None, cap, skip=set(known))
     written = 0
     mismatched = []
     sink = open(out, "a" if known else "w", encoding="ascii") if out else nullcontext()
     try:
         with sink as fh:
+            if glued:
+                fh.write("\n")
             for report in reports:
                 click.echo(json.dumps(report.to_dict()), file=fh)  # echo flushes
                 written += 1

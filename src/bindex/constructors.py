@@ -46,22 +46,22 @@ class DecoratedCore:
     """K_{s,t} with a pendant count per core vertex.
 
     pendants[i] is the number of pendant vertices hanging on core vertex i,
-    where 0..s-1 is part X and s..s+t-1 is part Y.
+    where 0..s-1 is part X and s..s+t-1 is part Y. There is one count per
+    core vertex, so t is derived: len(pendants) - s.
     """
 
     s: int
-    t: int
     pendants: tuple[int, ...]
 
     def __post_init__(self):
         if self.s < 1 or self.t < 1:
             raise Infeasible(f"core parts must be >=1, got ({self.s}, {self.t})")
-        if len(self.pendants) != self.s + self.t:
-            raise Infeasible(
-                f"need {self.s + self.t} pendant counts, got {len(self.pendants)}"
-            )
         if any(p < 0 for p in self.pendants):
             raise Infeasible("pendant counts must be >=0")
+
+    @property
+    def t(self) -> int:
+        return len(self.pendants) - self.s
 
     @classmethod
     def make(cls, s: int, t: int, counts: dict[int, int] | None = None) -> DecoratedCore:
@@ -70,7 +70,7 @@ class DecoratedCore:
             if not 0 <= vertex < s + t:
                 raise Infeasible(f"core vertex {vertex} out of range for K_({s},{t})")
             pendants[vertex] = count
-        return cls(s, t, tuple(pendants))
+        return cls(s, tuple(pendants))
 
 
 def realize(core: DecoratedCore) -> Graph:

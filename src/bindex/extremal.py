@@ -74,9 +74,8 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Sharp bound over connected bipartite graphs with n vertices and k cut edges."""
+    """Sharp bound over graphs with n vertices and k cut edges, on its IndexKind.bound_direction side."""
 
-    direction: str  # "lower": the family minimizes; "upper": it maximizes
     value: Fraction
     optimal_x: tuple[int, ...]
     family: tuple[BkSpec, ...]
@@ -88,16 +87,15 @@ def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
     The tree row k = n-1 returns the index of S_n, computed straight from
     the graph itself.
     """
-    direction = kind.bound_direction
     xs = admissible_x(n, k)
     if not xs:
         value = Fraction(compute(kind, star(n)))
-        return BoundResult(direction, value, (1,), (BkSpec(n, k, 1),))
+        return BoundResult(value, (1,), (BkSpec(n, k, 1),))
     values = {x: closed_form(kind, n, k, x) for x in xs}
-    best = min(values.values()) if direction == "lower" else max(values.values())
+    best = min(values.values()) if kind.bound_direction == "lower" else max(values.values())
     optimal = tuple(x for x in xs if values[x] == best)
     family = tuple(BkSpec(n, k, x) for x in optimal)
-    return BoundResult(direction, best, optimal, family)
+    return BoundResult(best, optimal, family)
 
 
 @dataclass(frozen=True)
@@ -237,22 +235,19 @@ def reconcile(kind: IndexKind, n: int, k: int) -> Reconciliation:
     value_match = row.value == computed.value
     same_family = set(row.family) == set(computed.family)
     family_match = row.family_valid and same_family
-    derived = ">=" if computed.direction == "lower" else "<="
+    derived = ">=" if kind.bound_direction == "lower" else "<="
     direction_conflict = row.relation != derived
     notes = []
     if direction_conflict:
         notes.append(
             f"table prints {row.relation} but the family sits on the"
-            f" {computed.direction} side ({derived})"
+            f" {kind.bound_direction} side ({derived})"
         )
     if not value_match:
         notes.append(f"table value {row.value} != optimized value {computed.value}")
-    if not row.family_valid:
+    if not row.family_valid:  # only a fractional x is ever out of range
         bad = ", ".join(str(x) for x in row.x_values if x.denominator != 1)
-        if bad:
-            notes.append(f"table optimizer x = {bad} is not an integer")
-        else:
-            notes.append("table optimizer x is not realizable")
+        notes.append(f"table optimizer x = {bad} is not an integer")
     elif not same_family:
         notes.append(
             "table family {"

@@ -39,7 +39,7 @@ from .graphs import distances_from  # noqa: F401  benchmarks/spans.py wraps bind
 
 
 class IndexKind(str, Enum):
-    """The five indices, with their behavior under edge addition."""
+    """The five indices; bound_direction is the one statement of each one's side."""
 
     W = "w"
     WW = "ww"
@@ -48,17 +48,13 @@ class IndexKind(str, Enum):
     EDS = "eds"
 
     @property
-    def decreases_when_edges_added(self) -> bool:
-        return self in (IndexKind.W, IndexKind.WW, IndexKind.EDS)
-
-    @property
     def bound_direction(self) -> str:
         """Over graphs with fixed n and cut edges: the side the optimum sits on.
 
-        Indices that shrink as edges are added are bounded from below (the
-        extremal graph minimizes them); the other two are bounded from above.
+        W, WW and EDS fall when an edge is added, so the extremal graph
+        minimizes them (a lower bound); H and CEI rise, so it maximizes them.
         """
-        return "lower" if self.decreases_when_edges_added else "upper"
+        return "lower" if self in (IndexKind.W, IndexKind.WW, IndexKind.EDS) else "upper"
 
 
 def _profile(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:

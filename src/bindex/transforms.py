@@ -20,7 +20,7 @@ Each contract is one expectation map from every index to either its exact
 delta (a Fraction, where a closed form is known) or the sign the delta
 must have ("<0" or ">0"); holds() is the one check of a delta
 against its entry. EDGE_ADDITION_SIGNS is the edge addition law (W, WW,
-EDS fall, H and CEI rise), read off IndexKind.decreases_when_edges_added;
+EDS fall, H and CEI rise), read off IndexKind.bound_direction;
 contract_bridge also obeys it and monotonicity_probe checks it on sampled
 absent edges, returning one EdgeProbe per edge.
 """
@@ -36,7 +36,7 @@ from .graphs import Graph, _check_vertex, add_edge, is_connected, layers
 from .indices import IndexKind, all_indices
 
 EDGE_ADDITION_SIGNS: dict[IndexKind, Fraction | str] = {
-    kind: "<0" if kind.decreases_when_edges_added else ">0" for kind in IndexKind
+    kind: "<0" if kind.bound_direction == "lower" else ">0" for kind in IndexKind
 }
 
 
@@ -125,7 +125,7 @@ def shift_pendants_within_part(
     pendants = list(core.pendants)
     pendants[receiver] += pendants[donor]
     pendants[donor] = 0
-    shifted = DecoratedCore(core.s, core.t, tuple(pendants))
+    shifted = DecoratedCore(core.s, tuple(pendants))
     expected = {
         IndexKind.W: Fraction(-2 * a * b),
         IndexKind.WW: Fraction(-7 * a * b),
@@ -159,7 +159,7 @@ def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
     pendants = list(core.pendants)
     pendants[0] += b
     pendants[s] = 0
-    shifted = DecoratedCore(s, t, tuple(pendants))
+    shifted = DecoratedCore(s, tuple(pendants))
     expected = {
         **EDGE_ADDITION_SIGNS,
         IndexKind.W: Fraction(-a * b + b * (s - t)),

@@ -301,6 +301,21 @@ def test_verify_resume_names_file_and_line_of_a_cut_row(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_verify_resume_starts_a_new_line_after_a_kept_row_without_one(tmp_path):
+    # a hand edit, or a kill just before the row's newline, can leave it off
+    out = tmp_path / "rows.jsonl"
+    assert run("verify", "--n", "5", "--index", "w", "--out", str(out)).returncode == 0
+    first, second = out.read_text().splitlines()
+    out.write_text(first)
+    res = run("verify", "--n", "5", "--index", "w", "--out", str(out), "--resume")
+    assert (res.returncode, res.stderr) == (0, f"wrote 1 rows to {out}\n")
+    assert out.read_text() == f"{first}\n{second}\n"
+    assert len(load_reports(out)) == 2
+    again = run("verify", "--n", "5", "--index", "w", "--out", str(out), "--resume")
+    assert (again.returncode, again.stderr) == (0, f"wrote 0 rows to {out}\n")
+    assert out.read_text() == f"{first}\n{second}\n"
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -396,7 +411,8 @@ def test_verify_streams_rows_so_an_interrupted_run_can_resume(tmp_path, monkeypa
 
 
 def test_interrupted_verify_keeps_its_finished_rows_for_resume(tmp_path):
-    # n = 12 takes minutes, so SIGINT lands while the sweep is still running
+    # n = 12 takes about 20 s of CPU, far longer than n = 11, so SIGINT lands
+    # while the sweep is still running
     out = tmp_path / "rows.jsonl"
     proc = subprocess.Popen(
         [sys.executable, "-m", "bindex", "verify", "--n", "11", "--n", "12", "--cap", "12", "--out", str(out)],

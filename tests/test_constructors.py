@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,7 @@ def decorated_cores(draw):
     s = draw(st.integers(1, 5))
     t = draw(st.integers(1, 5))
     pendants = draw(st.lists(st.integers(0, 3), min_size=s + t, max_size=s + t))
-    return DecoratedCore(s, t, tuple(pendants))
+    return DecoratedCore(s, tuple(pendants))
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -80,8 +81,12 @@ def test_decorated_core_validation():
         DecoratedCore.make(2, 2, {4: 1})  # owner out of range
     with pytest.raises(ValueError):
         DecoratedCore.make(2, 2, {0: -1})
-    with pytest.raises(Infeasible, match=r"^need 4 pendant counts, got 3$"):
-        DecoratedCore(2, 2, (0, 0, 0))
+    # t is derived from the pendant counts, one per core vertex
+    core = DecoratedCore(2, (0, 1, 0))
+    assert (core.t, [f.name for f in fields(core)]) == (1, ["s", "pendants"])
+    assert core == DecoratedCore.make(2, 1, {1: 1})
+    with pytest.raises(Infeasible, match=r"^core parts must be >=1, got \(2, 0\)$"):
+        DecoratedCore(2, (0, 0))
 
 
 def test_bk_spec_validation():

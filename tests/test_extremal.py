@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -88,8 +89,10 @@ def test_optimize_known_answers():
     assert r.value == F(53, 6) and r.optimal_x == (3,)
     r = optimize(W, 8, 2)
     assert r.value == 48 and r.optimal_x == (2,)
-    assert r.direction == "lower"
-    assert optimize(H, 8, 2).direction == "upper"
+    # the side is the index's own, not stored on the result
+    assert [f.name for f in fields(r)] == ["value", "optimal_x", "family"]
+    assert W.bound_direction == "lower"
+    assert H.bound_direction == "upper"
 
 
 def test_optimize_result_invariants():
@@ -157,6 +160,24 @@ def test_case_table_totality_and_shape():
 
 
 def test_case_table_family_matches_the_reference_rule():
+    """Every printed optimizer x that is an integer is admissible, at every n.
+
+    So a row's family is invalid only through a fractional x, and reconcile
+    names no other cause. Off its x = 2 boundary clause (and the tree row,
+    which prints no x), each clause's x lies in 2 <= x <= (n - k)/2:
+    - W: 2k <= n - 5, so x >= (n - 2k - 1)/2 >= 2, and x <= (n - 2k + 1)/2
+      <= (n - k)/2 as k >= 1.
+    - WW: 2n - 5k >= 9, so x >= (2n - 5k - 2)/4 >= 7/4, and an integer x is
+      >= 2; x <= (2n - 5k + 2)/4 <= (n - k)/2 as 3k >= 2.
+    - H: m = 3n - 4k >= 13, so x >= (m - 3)/6 >= 5/3, and x <= (n - k)/2
+      means 6x <= m + k. Only the largest 6x could exceed it: m + 3 when m
+      is 3 mod 6, at k <= 2, and m + 2 when m is 4 mod 6, at k = 1. Those
+      cases need 3n to be 1, 5 or 2 mod 6, but 3n is 0 or 3 mod 6.
+    - CEI: n - k >= 4, so x = (n - k)/2 or (n - k - 1)/2 is >= 2.
+    - EDS: m = 3n - 11k >= 24, so x >= (m - 2)/10 >= 11/5, and
+      x <= (m + 8)/10 <= (n - k)/2 as 8 <= 2n + 6k.
+    The x = 2 clauses hold 2 <= (n - k)/2 as n - k >= 4.
+    """
     invalid = 0
     for n in range(5, 61):
         for k in bound_cut_edge_counts(n):
@@ -164,6 +185,7 @@ def test_case_table_family_matches_the_reference_rule():
                 row = case_table(kind, n, k)
                 expected = case_table_family(n, k, row.x_values)
                 assert (row.family, row.family_valid) == expected, (kind, n, k)
+                assert row.family_valid or any(x.denominator != 1 for x in row.x_values), (kind, n, k)
                 invalid += not row.family_valid
     assert invalid  # the fractional WW optimizers are among the rows compared
 

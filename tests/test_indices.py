@@ -13,6 +13,7 @@ from bindex.constructors import BkSpec, b_graph, star
 from bindex.indices import IndexKind, _profile, all_indices, compute
 from bindex.graphs import add_edge, distances_from, is_connected, new_graph
 from bindex.oracle import enumerate_connected_bipartite
+from bindex.transforms import EDGE_ADDITION_SIGNS
 from conftest import outcome, random_connected_bipartite
 from reference import bipartition, cei_by_edges, edges, eds_by_pairs, indices_from_rows, per_source_profile
 
@@ -70,10 +71,10 @@ def test_compute_dispatch_and_types():
 
 
 def test_kind_metadata():
-    downs = {k for k in IndexKind if k.decreases_when_edges_added}
-    assert downs == {IndexKind.W, IndexKind.WW, IndexKind.EDS}
-    for k in IndexKind:
-        assert k.bound_direction == ("lower" if k.decreases_when_edges_added else "upper")
+    assert {k for k in IndexKind if k.bound_direction == "lower"} == {W, WW, EDS}
+    assert {k for k in IndexKind if k.bound_direction == "upper"} == {H, CEI}
+    # the edge addition law reads the same side: lower-bounded indices fall
+    assert EDGE_ADDITION_SIGNS == {W: "<0", WW: "<0", H: ">0", CEI: ">0", EDS: "<0"}
 
 
 def test_two_vertex_and_single_vertex():

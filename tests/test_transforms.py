@@ -287,7 +287,7 @@ def decorated_cores(draw):
     t = draw(st.integers(2, 6))
     s = draw(st.integers(2, t))
     pendants = draw(st.lists(st.integers(0, 4), min_size=s + t, max_size=s + t))
-    return DecoratedCore(s, t, tuple(pendants))
+    return DecoratedCore(s, tuple(pendants))
 
 
 @st.composite
