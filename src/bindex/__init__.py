@@ -34,6 +34,7 @@ from .graphs import (
     add_edge,
     bridges,
     certificate,
+    edge_count,
     graph6_decode,
     graph6_encode,
     is_connected,
@@ -79,6 +80,7 @@ __all__ = [
     "complete_bipartite",
     "compute",
     "contract_bridge",
+    "edge_count",
     "enumerate_connected_bipartite",
     "feasible_cut_edge_counts",
     "graph6_decode",

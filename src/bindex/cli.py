@@ -27,7 +27,7 @@ import click
 
 from .constructors import BkSpec, DecoratedCore, Infeasible, b_graph, complete_bipartite, feasible_cut_edge_counts, realize, star
 from .extremal import closed_form, optimize, reconcile
-from .graphs import bridges, certificate, graph6_decode, graph6_encode
+from .graphs import bridges, certificate, edge_count, graph6_decode, graph6_encode
 from .indices import IndexKind, all_indices
 from .indices import compute  # noqa: F401  benchmarks/spans.py wraps bindex.cli.compute
 from .oracle import (
@@ -149,8 +149,8 @@ def _index_rows(lines: Iterable[bytes], kinds: list[IndexKind], columns: list[st
         row["graph6"] = line.decode("ascii", "backslashreplace")
         try:
             g = graph6_decode(line)
-            row["n"] = g.n
-            row["m"] = g.edge_count
+            row["n"] = len(g)
+            row["m"] = edge_count(g)
             # all or nothing: assign only after every index succeeded
             row.update({kind.value: str(v) for kind, v in all_indices(g, kinds).items()})
         except ValueError as e:
@@ -323,7 +323,7 @@ def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
         return
     rows = [
         # with --k, every kept graph has exactly k cut edges
-        {"graph6": cert, "n": g.n, "m": g.edge_count, "cut_edges": len(bridges(g)) if k is None else k}
+        {"graph6": cert, "n": len(g), "m": edge_count(g), "cut_edges": len(bridges(g)) if k is None else k}
         for cert, g in pairs
     ]
     _emit(rows, ["graph6", "n", "m", "cut_edges"], fmt)

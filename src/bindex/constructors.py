@@ -86,7 +86,7 @@ def realize(core: DecoratedCore) -> Graph:
         adj[owner] |= ((1 << count) - 1) << label
         adj.extend([1 << owner] * count)
         label += count
-    return Graph(tuple(adj))
+    return tuple(adj)
 
 
 def check_bound_row(n: int, k: int) -> None:

@@ -1,7 +1,10 @@
 """Immutable graphs with exact combinatorial primitives.
 
-Vertices are dense integers 0..n-1. A graph is its per-vertex neighbour
-masks, one Python int each; n is their count. There is no hard size cap,
+Vertices are dense integers 0..n-1. A graph is the tuple of its vertices'
+neighbour masks, one Python int each, so n is len(g) and bit v of g[u] is
+the edge (u, v). Functions that only read a graph take any mask sequence
+(contract_bridge passes layers() an edited list); those that build one
+return a tuple. There is no hard size cap,
 and masks stay fast at the sizes this package works with (n up to a few
 hundred). Everything here is deterministic and side-effect free: distance
 rows, cut edges, canonical certificates and the graph6 interchange format.
@@ -20,7 +23,6 @@ bipartite graph tests only the side the next layer lies on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 UNREACHABLE = -1
 
@@ -39,22 +41,11 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Simple undirected graph: per-vertex neighbour masks; n is their count."""
+Graph = tuple[int, ...]  # a simple undirected graph: g[u] is u's neighbour mask
 
-    adj: tuple[int, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self.adj) // 2
+def edge_count(g: Graph) -> int:
+    return sum(a.bit_count() for a in g) // 2
 
 
 def _check_vertex(n: int, u: int) -> None:
@@ -78,22 +69,23 @@ def new_graph(n: int, edges=()) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(tuple(adj))
+    return tuple(adj)
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Return g plus edge (u, v), built by new_graph; it must not already exist."""
-    edge = new_graph(g.n, [(u, v)])
-    if g.has_edge(u, v):
+    edge = new_graph(len(g), [(u, v)])
+    if g[u] >> v & 1:
         raise ValueError(f"edge ({u}, {v}) already present")
-    return Graph(tuple(a | b for a, b in zip(g.adj, edge.adj)))
+    return tuple(a | b for a, b in zip(g, edge))
 
 
 def layers(adj, root: int):
     """Yield the BFS layers from root as vertex masks; layer d is at distance d.
 
-    adj is a sequence of neighbor masks. The layers are disjoint, so their
-    sum is the root's component.
+    adj is a graph or any sequence of neighbor masks: contract_bridge
+    passes an edited list. The layers are disjoint, so their sum is the
+    root's component.
     """
     seen = frontier = 1 << root
     while frontier:
@@ -107,16 +99,16 @@ def layers(adj, root: int):
 
 def distances_from(g: Graph, source: int) -> tuple[int, ...]:
     """Single-source BFS distances; UNREACHABLE marks other components."""
-    _check_vertex(g.n, source)
-    dist = [UNREACHABLE] * g.n
-    for d, layer in enumerate(layers(g.adj, source)):
+    _check_vertex(len(g), source)
+    dist = [UNREACHABLE] * len(g)
+    for d, layer in enumerate(layers(g, source)):
         for v in _bits(layer):
             dist[v] = d
     return tuple(dist)
 
 
 def is_connected(g: Graph) -> bool:
-    return sum(layers(g.adj, 0)) == (1 << g.n) - 1
+    return sum(layers(g, 0)) == (1 << len(g)) - 1
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
@@ -129,17 +121,16 @@ def bridges(g: Graph) -> frozenset[tuple[int, int]]:
     Lett. 2 (1974) 160-161; any spanning tree will do). v's descendants lie
     two layers or more below p, so the test is nb[v] & ~sub[v] == 1 << p.
     """
-    adj = g.adj
-    sub = [1 << v for v in range(g.n)]
-    nb = list(adj)
+    sub = [1 << v for v in range(len(g))]
+    nb = list(g)
     out = []
-    rest = (1 << g.n) - 1  # vertices of components not yet searched
+    rest = (1 << len(g)) - 1  # vertices of components not yet searched
     while rest:
-        levels = list(layers(adj, (rest & -rest).bit_length() - 1))
+        levels = list(layers(g, (rest & -rest).bit_length() - 1))
         rest &= ~sum(levels)
         for d in range(len(levels) - 1, 0, -1):
             for v in _bits(levels[d]):
-                p = (adj[v] & levels[d - 1]).bit_length() - 1
+                p = (g[v] & levels[d - 1]).bit_length() - 1
                 if nb[v] & ~sub[v] == 1 << p:
                     out.append((min(p, v), max(p, v)))
                 sub[p] |= sub[v]
@@ -161,8 +152,7 @@ def _canonical_columns(g: Graph) -> list[int]:
     then its neighbors of sig; true twins are tried once. Individualization
     and refinement with the min-string order kept exact (McKay 1981).
     """
-    adj = g.adj
-    full = (1 << g.n) - 1
+    full = (1 << len(g)) - 1
     best_cols: list[int] | None = None
 
     def extend(cells: list[int], placed: int, cols: list[int]) -> None:
@@ -177,17 +167,17 @@ def _canonical_columns(g: Graph) -> list[int]:
         for w in _bits(full & ~placed):
             c = 0
             for cell in cells:
-                c = c << cell.bit_count() | (1 << (adj[w] & cell).bit_count()) - 1
+                c = c << cell.bit_count() | (1 << (g[w] & cell).bit_count()) - 1
             by_sig = groups.setdefault(c, {})
-            by_sig[adj[w] & placed] = by_sig.get(adj[w] & placed, 0) | 1 << w
+            by_sig[g[w] & placed] = by_sig.get(g[w] & placed, 0) | 1 << w
         cmin = min(groups)
         for sig, group in groups[cmin].items():
             reps = 0  # one vertex per class of true twins
             for w in _bits(group):
-                if not any(adj[w] | 1 << w == adj[r] | 1 << r for r in _bits(reps)):
+                if not any(g[w] | 1 << w == g[r] | 1 << r for r in _bits(reps)):
                     reps |= 1 << w
             split = [part for cell in cells for part in (cell & ~sig, cell & sig) if part]
-            for ind in _maximum_independent_sets(adj, reps):
+            for ind in _maximum_independent_sets(g, reps):
                 run = [cmin << i for i in range(ind.bit_count())]
                 extend(split + [ind], placed | ind, cols + run)
 
@@ -241,7 +231,7 @@ def certificate(g: Graph) -> str:
     Python's recursion limit raises RecursionError: K_1100 does after about
     40 s of CPU, while K_200 takes 0.2 s.
     """
-    head = _g6_head(g.n)
+    head = _g6_head(len(g))
     cols = _canonical_columns(g)
     return _graph6(head, "".join(format(c, f"0{j}b") for j, c in enumerate(cols[1:], 1)))
 
@@ -266,9 +256,9 @@ def _graph6(head: str, bits: str) -> str:
 
 def graph6_encode(g: Graph) -> str:
     """Encode in graph6: size bytes, then the upper triangle column-major."""
-    head = _g6_head(g.n)  # before the O(n^2) bit string
+    head = _g6_head(len(g))  # before the O(n^2) bit string
     # format() writes row v-1 first; graph6 wants row 0 first
-    bits = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n))
+    bits = "".join(format(g[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, len(g)))
     return _graph6(head, bits)
 
 
@@ -314,5 +304,4 @@ def graph6_decode(text: str | bytes) -> Graph:
     # column v of the upper triangle, bit u at index u, is row v of the square
     rows = [bits[v * (v - 1) // 2 : v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
     square = "".join(rows)
-    adj = (int(rows[u][::-1], 2) | int(square[u::n][::-1], 2) for u in range(n))
-    return Graph(tuple(adj))
+    return tuple(int(rows[u][::-1], 2) | int(square[u::n][::-1], 2) for u in range(n))

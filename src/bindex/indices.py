@@ -81,18 +81,18 @@ def _profile(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     keeps every unseen vertex a candidate and has no such last step.
     """
     classes: dict[int, int] = {}
-    for u, mask in enumerate(g.adj):
+    for u, mask in enumerate(g):
         classes[mask] = classes.get(mask, 0) | 1 << u
     # Only one vertex per class needs its mask OR'd into the next layer: a
     # twin is in the same layer as its class's lowest member, or that member
     # is the source and its neighbors are already seen at layer 1.
     reps = 0
-    cut = [0] * g.n  # each representative's non-neighbors, for the top-down step
+    cut = [0] * len(g)  # each representative's non-neighbors, for the top-down step
     for mask, members in classes.items():
         low = members & -members
         reps |= low
         cut[low.bit_length() - 1] = ~mask
-    full = (1 << g.n) - 1
+    full = (1 << len(g)) - 1
     rows = []
     for mask, members in classes.items():
         source = members & -members
@@ -184,7 +184,7 @@ def all_indices(
     }
     values: dict[IndexKind, int | Fraction] = {}
     for kind in kinds:
-        if kind is IndexKind.CEI and g.n == 1:
+        if kind is IndexKind.CEI and len(g) == 1:
             raise ValueError("cei undefined: eccentricity zero (single vertex)")
         values[kind] = computed[kind]
     return values

@@ -56,6 +56,7 @@ from .graphs import (
     _bits,
     bridges,
     certificate,
+    edge_count,
     is_connected,
     layers,
     new_graph,
@@ -141,7 +142,7 @@ def _classes_with_parts(s: int, t: int) -> Iterator[Graph]:
             rows = [bits >> i * t & t_bits for i in range(s)]
             if s == t and (here + packed - sum(weight[row] for row in rows)) & guard != guard:
                 continue
-            g = Graph(tuple(row << s for row in rows) + cols + (c,))
+            g = tuple(row << s for row in rows) + cols + (c,)
             if is_connected(g):
                 yield g
 
@@ -191,16 +192,16 @@ def _parity_bounds(g: Graph) -> dict[IndexKind, int | Fraction]:
     m, so only its count of full vertices is needed. All five bounds are
     exact iff the diameter is at most 3.
     """
-    n = g.n
-    x = sum(islice(layers(g.adj, 0), 0, None, 2))  # the even layers: vertex 0's part
+    n = len(g)
+    x = sum(islice(layers(g, 0), 0, None, 2))  # the even layers: vertex 0's part
     y = ((1 << n) - 1) ^ x
     s = x.bit_count()
     t = n - s
-    m = g.edge_count
+    m = edge_count(g)
     pairs = (s * (s - 1) + t * (t - 1)) // 2
     far = s * t - m  # opposite-part pairs with no edge
     cei6 = eds = 0  # cei6: six times the CEI bound
-    for own, other, full in ((s, t, g.adj.count(y)), (t, s, g.adj.count(x))):
+    for own, other, full in ((s, t, g.count(y)), (t, s, g.count(x))):
         ecc = 2 if own > 1 else 1  # a full vertex's
         cei6 += 2 * (m - full * other) + full * other * (6 // ecc)
         eds += 3 * ((own - full) * (2 * own - 2 + 3 * other) - 2 * (m - full * other))
@@ -238,7 +239,7 @@ def _best_multi(
         return v > cur if lower[kind] else v < cur
 
     best: dict[IndexKind, tuple[int | Fraction, list[Graph]]] = {}
-    for g in sorted(candidates, key=lambda g: g.edge_count, reverse=True):
+    for g in sorted(candidates, key=edge_count, reverse=True):
         if best:
             bound = _parity_bounds(g)
             if all(worse(kind, bound[kind], best[kind][0]) for kind in kinds):

@@ -57,29 +57,29 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
     strictly fall; H and CEI strictly rise. Labels: w disappears, the
     survivors keep their relative order, the new pendant becomes n-1.
     """
-    _check_vertex(g.n, u)
-    _check_vertex(g.n, w)
+    _check_vertex(len(g), u)
+    _check_vertex(len(g), w)
     if not is_connected(g):
         raise ValueError("contract_bridge needs a connected graph")
-    adj = list(g.adj)
+    adj = list(g)
     adj[u] &= ~(1 << w)
     adj[w] &= ~(1 << u)
     side = sum(layers(adj, u))  # u's side: it holds w iff (u, w) is no cut edge
     if side >> w & 1:
         raise ValueError(f"({u}, {w}) is not a cut edge")
-    if not 2 <= side.bit_count() <= g.n - 2:  # w's shore is the other vertices
+    if not 2 <= side.bit_count() <= len(g) - 2:  # w's shore is the other vertices
         raise ValueError("both sides of the cut edge must have at least 2 vertices")
-    moved = g.adj[w] & ~(1 << u)  # w's other neighbors, reattached to u
+    moved = g[w] & ~(1 << u)  # w's other neighbors, reattached to u
     low = (1 << w) - 1
     adj = []
-    for v, mask in enumerate(g.adj):
+    for v, mask in enumerate(g):
         if v != w:
             mask |= moved if v == u else (moved >> v & 1) << u
             adj.append(mask & low | mask >> (w + 1) << w)  # drop bit w, shift higher labels down
     root = u - (u > w)
-    adj[root] |= 1 << (g.n - 1)
+    adj[root] |= 1 << (len(g) - 1)
     adj.append(1 << root)
-    return Graph(tuple(adj))
+    return tuple(adj)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +190,9 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> t
         raise ValueError("monotonicity probe needs a connected graph")
     absent = [
         (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
+        for u in range(len(g))
+        for v in range(u + 1, len(g))
+        if not g[u] >> v & 1
     ]
     if not absent:
         raise ValueError("graph is complete: no edge can be added")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 
 from bindex.graphs import Graph, add_edge, new_graph
-from reference import bipartition, edges, relabel
+from reference import bipartition, edges, has_edge, relabel
 
 
 def random_connected_bipartite(rng: random.Random, lo: int = 4, hi: int = 10) -> Graph:
@@ -24,7 +24,7 @@ def random_connected_bipartite(rng: random.Random, lo: int = 4, hi: int = 10) ->
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
-        if ((u in in_x) != (v in in_x)) and not g.has_edge(u, v)
+        if ((u in in_x) != (v in in_x)) and not has_edge(g, u, v)
     ]
     rng.shuffle(extra)
     for u, v in extra[: rng.randint(0, len(extra))]:
@@ -45,17 +45,17 @@ def random_bridge_context(rng: random.Random) -> tuple[Graph, int, int]:
     joined by the bridge (u, w)."""
     left = random_connected_bipartite(rng, lo=2, hi=6)
     right = random_connected_bipartite(rng, lo=2, hi=6)
-    n = left.n + right.n
+    n = len(left) + len(right)
     pairs = list(edges(left))
-    pairs += [(u + left.n, v + left.n) for u, v in edges(right)]
-    u = rng.randrange(left.n)
-    w = left.n + rng.randrange(right.n)
+    pairs += [(u + len(left), v + len(left)) for u, v in edges(right)]
+    u = rng.randrange(len(left))
+    w = len(left) + rng.randrange(len(right))
     pairs.append((u, w))
     return new_graph(n, pairs), u, w
 
 
 def scrambled(rng: random.Random, g: Graph) -> Graph:
     """A random relabeling of g."""
-    perm = list(range(g.n))
+    perm = list(range(len(g)))
     rng.shuffle(perm)
     return relabel(g, {old: new for old, new in enumerate(perm)})

@@ -1,8 +1,9 @@
 """Plain reference paths that the library's fast paths are checked against.
 
-degree, neighbors and edges read a Graph's neighbour masks as a degree, a
-neighbour tuple and the edge list of (u, v) pairs with u < v. The library
-works on the masks directly, so only the tests call them.
+A graph is the tuple of its vertices' neighbour masks. degree, neighbors,
+edges and has_edge read it as a degree, a neighbour tuple, the edge list of
+(u, v) pairs with u < v and one pair's adjacency. The library works on the
+masks directly, so only the tests call them.
 
 complete_bipartite_blocks tests the shape of the extremal graphs with no
 search: once the cut edges go, every block is K_1 or complete bipartite iff
@@ -32,7 +33,7 @@ graph6_decode is the decoder bindex ran before its regex scan and its
 table-driven body: it checks each byte in a Python loop, formats each body
 byte into six bits, and sets both ends of every edge bit by bit. Its front
 end is the library's (text is encoded as UTF-8, surrogate escapes back to
-their bytes), so both must return the same Graph, or raise ValueError with
+their bytes), so both must return the same graph, or raise ValueError with
 the same text, on any input.
 
 bridges is the iterative low-link depth-first search that bindex ran before
@@ -73,7 +74,7 @@ contract_bridge is the cut-edge contraction bindex ran before it wrote the
 merged neighbor masks directly: it relabels through a dict, rebuilds the
 edge list without w, reattaches w's other neighbors to u, hangs the new
 pendant n-1 on u and passes it all through new_graph. Both must return the
-same Graph on every (g, u, w) that bindex's contract_bridge accepts; the
+same graph on every (g, u, w) that bindex's contract_bridge accepts; the
 reference checks nothing, so it is called only on accepted cut edges.
 
 parity_bounds is the oracle's bound on each index, summed vertex by
@@ -119,19 +120,23 @@ from bindex.transforms import holds
 
 
 def degree(g: Graph, u: int) -> int:
-    return g.adj[u].bit_count()
+    return g[u].bit_count()
 
 
 def neighbors(g: Graph, u: int) -> tuple[int, ...]:
-    return tuple(_bits(g.adj[u]))
+    return tuple(_bits(g[u]))
 
 
 def edges(g: Graph) -> tuple[tuple[int, int], ...]:
     out = []
-    for u in range(g.n):
-        mask = g.adj[u] >> (u + 1) << (u + 1)  # neighbors above u
+    for u in range(len(g)):
+        mask = g[u] >> (u + 1) << (u + 1)  # neighbors above u
         out.extend((u, v) for v in _bits(mask))
     return tuple(out)
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g[u] >> v & 1)
 
 
 def complete_bipartite_blocks(g: Graph) -> bool:
@@ -142,11 +147,11 @@ def complete_bipartite_blocks(g: Graph) -> bool:
     induction along shortest paths, each vertex shares its mask with every
     vertex at even distance and sees every one at odd distance: a K_1 or
     complete bipartite component. Each 2-path of K_{a,b} joins one part."""
-    adj = list(g.adj)
+    adj = list(g)
     for u, v in bridges(g):
         adj[u] &= ~(1 << v)
         adj[v] &= ~(1 << u)
-    return all(adj[w] == adj[v] for v in range(g.n) for u in _bits(adj[v]) for w in _bits(adj[u]))
+    return all(adj[w] == adj[v] for v in range(len(g)) for u in _bits(adj[v]) for w in _bits(adj[u]))
 
 
 def canonical_columns(g: Graph) -> list[int]:
@@ -160,8 +165,7 @@ def canonical_columns(g: Graph) -> list[int]:
     twins (same neighborhood apart from each other) lead to automorphic
     placements, so one representative per twin class suffices.
     """
-    n = g.n
-    adj = g.adj
+    n = len(g)
     best_cols: list[int] | None = None
 
     def extend(order: list[int], used: int, cols: list[int]) -> None:
@@ -177,7 +181,7 @@ def canonical_columns(g: Graph) -> list[int]:
         for v in range(n):
             if used >> v & 1:
                 continue
-            a = adj[v]
+            a = g[v]
             c = 0
             for p in order:
                 c = c << 1 | (a >> p & 1)
@@ -186,7 +190,7 @@ def canonical_columns(g: Graph) -> list[int]:
         reps: list[int] = []
         for v in groups[cmin]:
             for r in reps:
-                if adj[v] & ~(1 << r) == adj[r] & ~(1 << v):
+                if g[v] & ~(1 << r) == g[r] & ~(1 << v):
                     break  # twin of an explored representative
             else:
                 reps.append(v)
@@ -206,7 +210,7 @@ def reference_certificate(g: Graph) -> str:
     """graph6 text of the reference columns, packed as certificate() packs its own."""
     cols = canonical_columns(g)
     bits = "".join(format(c, f"0{j}b") for j, c in enumerate(cols[1:], 1))
-    return _graph6(_g6_head(g.n), bits)
+    return _graph6(_g6_head(len(g)), bits)
 
 
 def classes_with_parts(s: int, t: int) -> Iterator[Graph]:
@@ -257,7 +261,7 @@ def classes_with_parts(s: int, t: int) -> Iterator[Graph]:
                     flipped = map(add, flipped, weight[row])
                 if max(flipped) > packed[0]:
                     continue
-            g = Graph(tuple(row << s for row in rows) + cols)
+            g = tuple(row << s for row in rows) + cols
             if is_connected(g):
                 yield g
 
@@ -398,12 +402,12 @@ def graph6_decode(text: str | bytes) -> Graph:
         adj[v] |= col
         for u in _bits(col):
             adj[u] |= 1 << v
-    return Graph(tuple(adj))
+    return tuple(adj)
 
 
 def bridges(g: Graph) -> frozenset[tuple[int, int]]:
     """Cut edges as normalized (min, max) pairs, via iterative low-link DFS."""
-    n = g.n
+    n = len(g)
     disc = [0] * n  # 0 = unvisited, else discovery time + 1
     low = [0] * n
     timer = 1
@@ -455,13 +459,13 @@ def bipartition(g: Graph) -> Bipartition | None:
     deterministic. For connected graphs it is the unique bipartition.
     """
     parts = [0, 0]
-    for root in range(g.n):
+    for root in range(len(g)):
         if (parts[0] | parts[1]) >> root & 1:
             continue
-        for d, layer in enumerate(layers(g.adj, root)):
+        for d, layer in enumerate(layers(g, root)):
             parts[d & 1] |= layer
     # an edge inside one parity class closes an odd cycle
-    if any(g.adj[v] & part for part in parts for v in _bits(part)):
+    if any(g[v] & part for part in parts for v in _bits(part)):
         return None
     part_x, part_y = (frozenset(_bits(part)) for part in parts)
     return Bipartition(part_x, part_y)
@@ -469,14 +473,14 @@ def bipartition(g: Graph) -> Bipartition | None:
 
 def relabel(g: Graph, mapping) -> Graph:
     """Apply a vertex permutation given as mapping[old] = new."""
-    if sorted(mapping) != list(range(g.n)):
+    if sorted(mapping) != list(range(len(g))):
         raise ValueError("mapping is not a permutation of the vertex set")
-    return new_graph(g.n, ((mapping[u], mapping[v]) for u, v in edges(g)))
+    return new_graph(len(g), ((mapping[u], mapping[v]) for u, v in edges(g)))
 
 
 def _distance_rows(g: Graph) -> list[tuple[int, ...]]:
     """A plain BFS distance row from every vertex, for the index paths below."""
-    rows = [distances_from(g, u) for u in range(g.n)]
+    rows = [distances_from(g, u) for u in range(len(g))]
     if any(UNREACHABLE in row for row in rows):
         raise ValueError("index undefined: graph is disconnected")
     return rows
@@ -511,7 +515,7 @@ def eds_by_pairs(g: Graph) -> int:
     rows = _distance_rows(g)
     ecc = [max(row) for row in rows]
     return sum(
-        (ecc[u] + ecc[v]) * rows[u][v] for u in range(g.n) for v in range(u + 1, g.n)
+        (ecc[u] + ecc[v]) * rows[u][v] for u in range(len(g)) for v in range(u + 1, len(g))
     )
 
 
@@ -555,7 +559,7 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
     new pendant becomes n-1."""
     relab = {}
     nxt = 0
-    for v in range(g.n):
+    for v in range(len(g)):
         if v == w:
             continue
         relab[v] = nxt
@@ -565,13 +569,13 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
         if w in (a, b):
             continue
         out.append((relab[a], relab[b]))
-    for z in range(g.n):
+    for z in range(len(g)):
         # reattach w's neighbors to u; a shared neighbor would mean a cycle
         # through the cut edge, so no duplicate can arise
-        if z != u and g.has_edge(w, z):
+        if z != u and has_edge(g, w, z):
             out.append((relab[u], relab[z]))
-    out.append((relab[u], g.n - 1))
-    return new_graph(g.n, out)
+    out.append((relab[u], len(g) - 1))
+    return new_graph(len(g), out)
 
 
 def parity_bounds(g: Graph) -> dict[IndexKind, int | Fraction]:
@@ -579,17 +583,17 @@ def parity_bounds(g: Graph) -> dict[IndexKind, int | Fraction]:
     and per vertex: distance 1 on an edge, else at least 2 within a part and
     3 across; eccentricity 1, 2 or 3 by whether the vertex sees the far part."""
     part = bipartition(g)
-    side = [v in part.part_x for v in range(g.n)]
+    side = [v in part.part_x for v in range(len(g))]
     own = [len(part.part_x) if x else len(part.part_y) for x in side]
     w = ww = eds = 0
     h = cei = Fraction(0)
-    for u in range(g.n):
-        deg, other = degree(g, u), g.n - own[u]
+    for u in range(len(g)):
+        deg, other = degree(g, u), len(g) - own[u]
         ecc = 3 if deg < other else 2 if own[u] > 1 else 1
         cei += Fraction(deg, ecc)
         eds += ecc * (deg + 2 * (own[u] - 1) + 3 * (other - deg))
-        for v in range(u + 1, g.n):
-            d = 1 if g.has_edge(u, v) else 2 if side[u] == side[v] else 3
+        for v in range(u + 1, len(g)):
+            d = 1 if has_edge(g, u, v) else 2 if side[u] == side[v] else 3
             w += d
             ww += (d + d * d) // 2
             h += Fraction(1, d)

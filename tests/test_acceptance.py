@@ -1,6 +1,6 @@
 """Acceptance gate: seven criteria, one test each, plus a second test for
 criterion 1 that extends its n <= 60 sweep to every n by polynomial
-identity, a replay of the first phase of the paper's proof on every
+identity, a replay of both phases of the paper's proof on every
 bound-row class with 5 <= n <= 9, and a parity relaxation that proves the
 W, WW and H rows without enumeration, checked for 5 <= n <= 40.
 
@@ -33,6 +33,7 @@ from bindex.graphs import (
     bridges,
     certificate,
     distances_from,
+    edge_count,
     graph6_decode,
     graph6_encode,
     layers,
@@ -52,7 +53,7 @@ from bindex.transforms import (
     shift_pendants_within_part,
 )
 from conftest import random_bridge_context, random_connected_bipartite
-from reference import complete_bipartite_blocks, degree, index_deltas, neighbors
+from reference import complete_bipartite_blocks, contract_holds, degree, index_deltas, neighbors
 
 F = Fraction
 
@@ -129,11 +130,11 @@ def test_criterion_1_closed_forms_hold_for_every_n():
                 g = realize(DecoratedCore.make(x, y, {0: k}))  # b_graph's labeling
                 cls = [0] + [1] * (x - 1) + [2] * y + [3] * k
                 degrees = (y + k, y, x, 1)
-                for u in range(g.n):
+                for u in range(len(g)):
                     dist = distances_from(g, u)
                     assert max(dist) == eccentricities[cls[u]], (x, y, k, u)
                     assert degree(g, u) == degrees[cls[u]], (x, y, k, u)
-                    for v in range(g.n):
+                    for v in range(len(g)):
                         expected = 0 if u == v else table[cls[u]][cls[v]]
                         assert dist[v] == expected, (x, y, k, u, v)
                 checked += 1
@@ -308,13 +309,13 @@ def _addable_edge(g, cut):
     """The lowest absent pair (u, v), u < v, of opposite colours inside one
     2-edge-connected component, or None: with the cut edges deleted, v lies
     in an odd BFS layer from u."""
-    adj = list(g.adj)
+    adj = list(g)
     for a, b in cut:
         adj[a] &= ~(1 << b)
         adj[b] &= ~(1 << a)
-    for u in range(g.n):
+    for u in range(len(g)):
         odd = sum(layer for d, layer in enumerate(layers(adj, u)) if d % 2)
-        free = odd & ~g.adj[u] & -(2 << u)  # absent, and above u
+        free = odd & ~g[u] & -(2 << u)  # absent, and above u
         if free:
             return u, (free & -free).bit_length() - 1
     return None
@@ -332,7 +333,7 @@ def _contractible(g, cut):
 
 
 def test_proof_phase_1_replays_on_every_class():
-    """Phase 1 of the paper's extremal argument, replayed on every class.
+    """Phases 1 and 2 of the paper's extremal argument, replayed on every class.
 
     For every connected bipartite class with 5 <= n <= 9 whose k is a bound
     row (762 classes), repeat until neither step applies: add the lowest
@@ -342,11 +343,28 @@ def test_proof_phase_1_replays_on_every_class():
     does (EDGE_ADDITION_SIGNS). Then every cut edge is pendant and the one
     block left is complete bipartite: the 90 trees end as the star, the
     other 672 classes as a decorated K_{s,t}. The run makes 1268 edge
-    additions and 569 contractions. Phase 2, gathering the pendants with
-    the two shifts, is not replayed here.
+    additions and 569 contractions.
+
+    Phase 2 then runs on each decorated core (_phase_2), with its smaller
+    part first: shift_pendants_within_part gathers each part's pendants on
+    one vertex (183 shifts), and shift_pendants_across_parts moves the
+    larger part's pendants onto the smaller part's decorated vertex (168
+    shifts), each shift meeting its expected map. 534 classes end as
+    B_k(s, t) with s <= t; one of them, K_{4,4} plus one pendant at n = 9,
+    has its pendant on the second part, which is B_k(s, t) as s = t. The
+    other 138 end with all k pendants on one vertex of the strictly larger
+    part, B_k(t, s): the across-part shift
+    needs pendants on both parts, so no surgery moves them. PAPER.md holds
+    only the paper's abstract, so whether the paper argues this case could
+    not be read here; here only the polynomial at x = t covers it. Each
+    index of B_k(t, s) is strictly worse than that of B_k(s, t), as the
+    closed form's difference (t - s)(t + s - n + 2k) = (t - s)k > 0 for W,
+    and its analogues, predict; the test checks it on the graphs directly.
     """
     started = time.monotonic()
     classes = trees = additions = contractions = 0
+    shifts = {"within": 0, "across": 0}
+    ends = {"B_k(s,t)": 0, "larger part": 0}
     for n in range(5, 10):
         for g in enumerate_connected_bipartite(n):
             cut = bridges(g)
@@ -371,20 +389,63 @@ def test_proof_phase_1_replays_on_every_class():
                 continue
             assert complete_bipartite_blocks(g), graph6_encode(g)
             core = [v for v in range(n) if degree(g, v) > 1]
-            side = sum(list(layers(g.adj, core[0]))[::2])  # core[0]'s colour
+            side = sum(list(layers(g, core[0]))[::2])  # core[0]'s colour
             xs = [v for v in core if side >> v & 1]
             ys = [v for v in core if not side >> v & 1]
             counts = {i: sum(degree(g, p) == 1 for p in neighbors(g, v)) for i, v in enumerate(xs + ys)}
-            end = realize(DecoratedCore.make(len(xs), len(ys), counts))
-            assert certificate(end) == certificate(g), graph6_encode(g)
+            core = DecoratedCore.make(len(xs), len(ys), counts)
+            assert certificate(realize(core)) == certificate(g), graph6_encode(g)
+            ends[_phase_2(core, n, k, shifts)] += 1
     assert (classes, trees) == (762, 90)
     assert (additions, contractions) == (1268, 569)
+    assert shifts == {"within": 183, "across": 168}
+    assert ends == {"B_k(s,t)": 534, "larger part": 138}
     elapsed = time.monotonic() - started
     print(
-        f"PASS proof phase 1: {additions} edge additions and {contractions} "
+        f"PASS proof phases 1 and 2: {additions} edge additions and {contractions} "
         f"contractions take all {classes} bound-row classes with 5 <= n <= 9 "
-        f"to a star or a decorated K_(s,t) ({elapsed:.1f}s)"
+        f"to a star or a decorated K_(s,t); {shifts['within']} within-part and "
+        f"{shifts['across']} across-part shifts end {ends['B_k(s,t)']} as B_k(s,t) "
+        f"and {ends['larger part']} as B_k(t,s), t > s ({elapsed:.1f}s)"
     )
+
+
+def _phase_2(core, n, k, shifts):
+    """Gather the pendants of one decorated core, counting the shifts made;
+    returns its end form. Relabelling core vertices within a part, or
+    listing the smaller part first, keeps the graph's class."""
+
+    def relabel(s, pendants):
+        relabelled = DecoratedCore(s, tuple(pendants))
+        assert certificate(realize(relabelled)) == certificate(realize(core))
+        return relabelled
+
+    def shift(pred, kind):
+        assert contract_holds(pred.expected, index_deltas(realize(core), realize(pred.shifted)))
+        shifts[kind] += 1
+        return pred.shifted
+
+    s, t, p = core.s, core.t, core.pendants
+    if s > t:
+        s, t = t, s
+        core = relabel(s, p[t:] + p[:t])
+    for part in (range(s), range(s, s + t)):
+        decorated = [v for v in part if core.pendants[v]]
+        for donor in decorated[1:]:
+            core = shift(shift_pendants_within_part(core, donor, decorated[0]), "within")
+    p = core.pendants  # each part's one decorated vertex, if any, goes first
+    core = relabel(s, sorted(p[:s], reverse=True) + sorted(p[s:], reverse=True))
+    if core.pendants[0] and core.pendants[s]:
+        core = shift(shift_pendants_across_parts(core), "across")
+    end = realize(core)
+    if core.pendants[0] == k or s == t:
+        assert certificate(end) == certificate(b_graph(BkSpec(n, k, s))), graph6_encode(end)
+        return "B_k(s,t)"
+    assert core.pendants[s] == k, core
+    best = all_indices(b_graph(BkSpec(n, k, s)))
+    for kind, v in all_indices(end).items():
+        assert v > best[kind] if kind.bound_direction == "lower" else v < best[kind], (kind, core)
+    return "larger part"
 
 
 @lru_cache(maxsize=None)
@@ -470,19 +531,19 @@ def test_parity_relaxation_proves_the_w_ww_h_rows_for_every_split():
     classes = on_ceiling = exact = 0
     for n in range(2, 11):
         for g in enumerate_connected_bipartite(n, cap=10):
-            s = sum(islice(layers(g.adj, 0), 0, None, 2)).bit_count()  # vertex 0's part
-            bound = _parity_relaxation(s, n - s, g.edge_count)
+            s = sum(islice(layers(g, 0), 0, None, 2)).bit_count()  # vertex 0's part
+            bound = _parity_relaxation(s, n - s, edge_count(g))
             value = all_indices(g, (W, WW, H))
-            tight = max(len(list(layers(g.adj, u))) for u in range(n)) <= 4  # diameter <= 3
+            tight = max(len(list(layers(g, u))) for u in range(n)) <= 4  # diameter <= 3
             assert value[W] >= bound[W] and value[WW] >= bound[WW] and value[H] <= bound[H]
             assert all((value[kind] == bound[kind]) == tight for kind in (W, WW, H)), graph6_encode(g)
             exact += tight
             k = len(bridges(g))
             if k:
                 ceiling = max(_edge_ceilings(s, n - s, k).values())
-                assert g.edge_count <= ceiling, graph6_encode(g)
+                assert edge_count(g) <= ceiling, graph6_encode(g)
                 classes += 1
-                on_ceiling += g.edge_count == ceiling
+                on_ceiling += edge_count(g) == ceiling
     assert (classes, on_ceiling) == (3794, 856)
 
     rows = 0

@@ -942,4 +942,4 @@ def test_readme_library_example_runs():
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert "48 (2,)" in lines and "match" in lines  # the values its comments state
+    assert "8 11" in lines and "48 (2,)" in lines and "match" in lines  # the values its comments state

@@ -22,15 +22,15 @@ from bindex.constructors import (
     star,
 )
 from bindex.extremal import closed_form, optimize
-from bindex.graphs import bridges, certificate, is_connected
+from bindex.graphs import bridges, certificate, edge_count, is_connected
 from bindex.indices import IndexKind, compute
 from bindex.oracle import enumerate_connected_bipartite
-from reference import bipartition, decorated_core_graph, degree, neighbors
+from reference import bipartition, decorated_core_graph, degree, has_edge, neighbors
 
 
 def test_star_shape():
     g = star(6)
-    assert g.n == 6
+    assert len(g) == 6
     assert degree(g, 0) == 5
     assert all(degree(g, v) == 1 for v in range(1, 6))
     with pytest.raises(ValueError):
@@ -39,8 +39,8 @@ def test_star_shape():
 
 def test_complete_bipartite_shape():
     g = complete_bipartite(2, 3)
-    assert g.n == 5
-    assert g.edge_count == 6
+    assert len(g) == 5
+    assert edge_count(g) == 6
     part = bipartition(g)
     assert part is not None
     assert sorted(map(len, (part.part_x, part.part_y))) == [2, 3]
@@ -52,12 +52,12 @@ def test_decorated_core_make_and_realize():
     core = DecoratedCore.make(2, 3, {0: 2, 3: 1})
     g = realize(core)
     assert is_connected(g)
-    assert g.n == 2 + 3 + 3
+    assert len(g) == 2 + 3 + 3
     # pendants are labeled after the 5 core vertices, grouped by owner
     assert neighbors(g, 0) == (2, 3, 4, 5, 6)
     assert neighbors(g, 3) == (0, 1, 7)
-    assert degree(g, 5) == 1 and g.has_edge(0, 5)
-    assert degree(g, 7) == 1 and g.has_edge(3, 7)
+    assert degree(g, 5) == 1 and has_edge(g, 0, 5)
+    assert degree(g, 7) == 1 and has_edge(g, 3, 7)
 
 
 @st.composite
@@ -119,8 +119,8 @@ def test_bk_spec_validation():
 
 def test_b_graph_small_example():
     g = b_graph(BkSpec(5, 1, 2))
-    assert g.n == 5
-    assert g.edge_count == 5
+    assert len(g) == 5
+    assert edge_count(g) == 5
     assert len(bridges(g)) == 1
     # the pendant hangs on the vertex whose core degree is the far part size
     assert degree(g, 0) == 2 + 1

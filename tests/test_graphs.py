@@ -1,10 +1,9 @@
-"""Core graph type: construction, BFS, bridges, bipartition, certificates."""
+"""Graphs as tuples of neighbour masks: construction, BFS, bridges, bipartition, certificates."""
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import fields
 from itertools import combinations
 
 import pytest
@@ -12,21 +11,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bindex import graphs
-from bindex.constructors import complete_bipartite, star
+from bindex.constructors import DecoratedCore, complete_bipartite, realize, star
 from bindex.graphs import (
     UNREACHABLE,
     add_edge,
     bridges,
     certificate,
     distances_from,
+    edge_count,
     graph6_decode,
     graph6_encode,
     is_connected,
     new_graph,
 )
+from bindex.indices import IndexKind, all_indices
 from bindex.oracle import enumerate_connected_bipartite
+from bindex.transforms import contract_bridge
 from conftest import outcome, random_connected_bipartite, scrambled
-from reference import bipartition, degree, edges, neighbors, reference_certificate, relabel
+from reference import bipartition, degree, edges, has_edge, neighbors, reference_certificate, relabel
 from reference import bridges as reference_bridges
 from reference import graph6_decode as reference_graph6_decode
 
@@ -40,14 +42,31 @@ def cycle(n):
 
 
 def test_construction_and_accessors():
+    """A graph is a plain tuple, bit v of entry u the edge (u, v): every
+    constructor returns one, and every reader takes a tuple literal."""
     g = new_graph(4, [(0, 1), (1, 0), (1, 2)])
-    assert g.n == 4
-    assert g.edge_count == 2
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert not g.has_edge(0, 2)
-    assert g.adj == (0b0010, 0b0101, 0b0010, 0b0000)
-    assert [f.name for f in fields(g)] == ["adj"]
+    assert len(g) == 4
+    assert edge_count(g) == 2
+    assert has_edge(g, 0, 1) and has_edge(g, 1, 0)
+    assert not has_edge(g, 0, 2)
     assert (degree(g, 1), neighbors(g, 1), edges(g)) == (2, (0, 2), ((0, 1), (1, 2)))
+    built = {
+        "new_graph": (new_graph(4, [(0, 1), (1, 2)]), (0b0010, 0b0101, 0b0010, 0b0000)),
+        "add_edge": (add_edge(path(4), 3, 0), (0b1010, 0b0101, 0b1010, 0b0101)),  # C_4
+        "graph6_decode": (graph6_decode("Bw"), (0b110, 0b101, 0b011)),  # K_3
+        "realize": (realize(DecoratedCore.make(1, 1, {0: 1})), (0b110, 0b001, 0b001)),  # P_3, centre 0
+        "contract_bridge": (contract_bridge(path(4), 1, 2), (0b0010, 0b1101, 0b0010, 0b0010)),  # S_4
+        "enumerate_connected_bipartite": (next(enumerate_connected_bipartite(3)), (0b110, 0b001, 0b001)),
+    }
+    for name, (got, want) in built.items():
+        assert type(got) is tuple and got == want, name
+    assert all(type(g) is tuple for n in range(1, 7) for g in enumerate_connected_bipartite(n))
+    k2 = (0b10, 0b01)
+    assert all_indices(k2) == {
+        IndexKind.W: 1, IndexKind.WW: 1, IndexKind.H: 1, IndexKind.CEI: 2, IndexKind.EDS: 2,
+    }
+    assert bridges(k2) == {(0, 1)}
+    assert certificate(k2) == "A_"
 
 
 def test_construction_rejects_bad_edges():
@@ -59,7 +78,7 @@ def test_construction_rejects_bad_edges():
         new_graph(0, [])
     with pytest.raises(ValueError):
         new_graph(2, [(-1, 0)])
-    assert add_edge(path(3), 0, 2).edge_count == 3
+    assert edge_count(add_edge(path(3), 0, 2)) == 3
     with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
         add_edge(path(3), 1, 1)
     with pytest.raises(ValueError, match=r"^edge \(1, 0\) already present$"):
@@ -101,7 +120,7 @@ def disjoint_union(*gs):
     pairs, offset = [], 0
     for g in gs:
         pairs += [(u + offset, v + offset) for u, v in edges(g)]
-        offset += g.n
+        offset += len(g)
     return new_graph(offset, pairs)
 
 
@@ -143,7 +162,7 @@ def test_bridges_match_the_reference_on_large_graphs(name, g):
     cut = bridges(g)
     assert cut == reference_bridges(g)
     if name in ("path", "tree"):
-        assert len(cut) == g.n - 1
+        assert len(cut) == len(g) - 1
     if name == "dense":
         assert not cut and is_connected(g)
 
@@ -164,8 +183,8 @@ def test_relabel_preserves_structure():
     g = cycle(6)
     mapping = {0: 3, 1: 5, 2: 0, 3: 1, 4: 4, 5: 2}
     h = relabel(g, mapping)
-    assert h.edge_count == g.edge_count
-    assert h.has_edge(3, 5) and h.has_edge(5, 0)
+    assert edge_count(h) == edge_count(g)
+    assert has_edge(h, 3, 5) and has_edge(h, 5, 0)
     assert certificate(h) == certificate(g)
 
 
@@ -199,7 +218,7 @@ def test_certificate_of_a_long_path_is_relabeling_invariant():
     rng = random.Random(60)
     cert = certificate(path(60))
     g = graph6_decode(cert)
-    assert (g.edge_count, is_connected(g), max(degree(g, v) for v in range(60))) == (59, True, 2)
+    assert (edge_count(g), is_connected(g), max(degree(g, v) for v in range(60))) == (59, True, 2)
     assert [certificate(scrambled(rng, path(60))) for _ in range(3)] == [cert] * 3
 
 
@@ -235,7 +254,7 @@ def any_graphs(draw, max_n=100):
 @example(new_graph(1))
 def test_graph6_round_trip_any_graph(g):
     enc = graph6_encode(g)
-    assert enc.startswith("~") == (g.n > 62)
+    assert enc.startswith("~") == (len(g) > 62)
     assert graph6_decode(enc) == reference_graph6_decode(enc) == g
     assert graph6_decode(enc.encode("ascii") + b"\n") == g
 

@@ -117,10 +117,10 @@ def test_hyper_wiener_always_integral_here():
 
 def per_vertex_profile(g):
     """_profile's class rows copied out to each member, in the same shape."""
-    rows = [None] * g.n
+    rows = [None] * len(g)
     for members, degree, ecc, counts in _profile(g):
         trans = sum(d * c for d, c in enumerate(counts))
-        for u in range(g.n):
+        for u in range(len(g)):
             if members >> u & 1:
                 assert rows[u] is None  # the classes partition the vertices
                 rows[u] = (degree, ecc, trans, counts)
@@ -150,15 +150,15 @@ def test_profile_matches_per_source_bfs_on_twin_poor_graphs():
         # seen from vertex 0 (the first class's source): an odd cycle, so every
         # later BFS tests all unseen vertices and has no closing last layer
         dist = distances_from(g, 0)
-        u = max(range(g.n), key=dist.__getitem__)
-        same_colour = [w for w in range(g.n) if w != u and (dist[w] - dist[u]) % 2 == 0]
+        u = max(range(len(g)), key=dist.__getitem__)
+        same_colour = [w for w in range(len(g)) if w != u and (dist[w] - dist[u]) % 2 == 0]
         odd = add_edge(g, u, max(same_colour, key=dist.__getitem__))
         assert bipartition(odd) is None
         reference = per_source_profile(odd)
         assert per_vertex_profile(odd) == reference
         assert all_indices(odd) == indices_from_rows(reference)
         # the same graph beside a copy of itself: disconnected, both must say so
-        twice = new_graph(2 * g.n, edges(g) + tuple((u + g.n, v + g.n) for u, v in edges(g)))
+        twice = new_graph(2 * len(g), edges(g) + tuple((u + len(g), v + len(g)) for u, v in edges(g)))
         assert outcome(per_vertex_profile, twice) == outcome(per_source_profile, twice)
         assert outcome(per_vertex_profile, twice)[0] == "ValueError"
 
@@ -243,12 +243,12 @@ def test_profile_matches_per_source_bfs_on_random_graphs(g):
     # has a profile on both, and its cei error is checked above
     reference = outcome(per_source_profile, g)
     assert outcome(per_vertex_profile, g) == reference
-    if g.n > 1 and is_connected(g):
+    if len(g) > 1 and is_connected(g):
         assert all_indices(g) == indices_from_rows(reference)
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(twin_blowups().filter(lambda g: g.n >= 2 and is_connected(g)))
+@given(twin_blowups().filter(lambda g: len(g) >= 2 and is_connected(g)))
 @example(new_graph(3, [(0, 1), (0, 2), (1, 2)]))
 def test_alternate_formulations_agree_on_random_graphs(g):
     # non-bipartite and twin-rich connected graphs, beyond the small classes

@@ -10,7 +10,7 @@ import gc
 import hashlib
 import json
 import random
-import weakref
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -48,7 +48,7 @@ from bindex.oracle import (
 )
 import reference
 from conftest import random_connected_bipartite
-from reference import bipartition
+from reference import bipartition, has_edge
 
 W = IndexKind.W
 
@@ -293,14 +293,16 @@ def test_parity_bounds_are_exact_on_the_extremal_families():
 
 
 def test_sweep_keeps_no_class_whose_k_has_no_rows(monkeypatch):
-    # n = 8 has no k = 0 row, so its k = 0 classes must be gone by the first row
+    # n = 8 has no k = 0 row, so its k = 0 classes must be gone by the first row.
+    # A tuple takes no weak reference, so each such class's reference count is
+    # compared with that of an equal new tuple that only this list holds.
     real = oracle.enumerate_connected_bipartite
     unranked = []
 
     def tracked(n, cap):
         for g in real(n, cap):
             if not bridges(g):
-                unranked.append(weakref.ref(g))
+                unranked.append(g)
             yield g
 
     monkeypatch.setattr(oracle, "enumerate_connected_bipartite", tracked)
@@ -309,7 +311,9 @@ def test_sweep_keeps_no_class_whose_k_has_no_rows(monkeypatch):
     gc.collect()
     assert (first.n, first.k) == (8, 1)
     assert len(unranked) > 0
-    assert [ref for ref in unranked if ref() is not None] == []
+    unranked.append(tuple(list(unranked[0])))  # the control
+    counts = [sys.getrefcount(g) for g in unranked]
+    assert counts == [counts[-1]] * len(counts)
 
 
 def test_sweep_names_a_k_the_enumeration_never_produced(monkeypatch):
@@ -613,7 +617,7 @@ def _relabeled(n, mask, i):
     pairs = list(combinations(range(n), 2))
     swap = {i: i + 1, i + 1: i}
     g = new_graph(n, [(swap.get(u, u), swap.get(v, v)) for b, (u, v) in enumerate(pairs) if mask >> b & 1])
-    return sum(1 << b for b, (u, v) in enumerate(pairs) if g.has_edge(u, v))
+    return sum(1 << b for b, (u, v) in enumerate(pairs) if has_edge(g, u, v))
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -12,7 +12,8 @@ other library module uses, README.md does not name in its code, and no file
 under benchmarks/ reads. Code only the tests call belongs in
 tests/reference.py. Also catches an import that its module never uses
 (__init__.py re-exports, and a line marked `# noqa: F401` keeps its import
-on purpose).
+on purpose), and any call of the alias Graph in the library or the tests:
+a graph is a plain tuple, and calling the alias would silently build one.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def test_no_orphaned_library_code():
 
 def test_every_public_method_is_read_in_the_library():
     """A public method or property counts only through an attribute read
-    (g.has_edge, report.verdict), so a local variable of the same name does not."""
+    (core.t, report.verdict), so a local variable of the same name does not."""
     trees = [tree for _, tree in _modules()]
     read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     unread = [
@@ -182,3 +183,22 @@ def test_no_unused_imports():
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     assert modules, "no modules found"
     assert [line for p in modules for line in _unused_imports(p)] == []
+
+
+def test_graph_is_never_called():
+    """graphs.Graph is the alias tuple[int, ...]. Calling it returns a tuple
+    of its argument, so such a call reads as a constructor that does not
+    exist; build a graph with new_graph or a tuple instead."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "Graph"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "Graph"
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in ("bindex", "graphs")
+        )
+    ]
+    assert calls == []
