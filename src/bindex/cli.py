@@ -233,7 +233,7 @@ def cmd_bound(index_sel: str, n: int, k: int, x, do_reconcile: bool, fmt: str) -
             "k": k,
             "direction": kind.bound_direction,
             "value": str(bound.value),
-            "optimal_x": ";".join(str(v) for v in bound.optimal_x),
+            "optimal_x": ";".join(str(spec.x) for spec in bound.family),
             "family": ";".join(spec.label() for spec in bound.family),
         }
         if rec:

@@ -18,7 +18,7 @@ tree row. BkSpec and the closed forms in extremal test x against that range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphs import Graph, new_graph
 
@@ -111,7 +111,7 @@ def admissible_x(n: int, k: int) -> range:
 
 @dataclass(frozen=True)
 class BkSpec:
-    """Parameters (n, k, x) of B_k(x, n-k-x); y is derived.
+    """Parameters (n, k, x) of B_k(x, n-k-x); y = n - k - x is a property.
 
     Validity: x is in admissible_x(n, k), except on the tree row k = n - 1,
     where that range is empty and the graph collapses to S_n (x = 1, y = 0).
@@ -120,7 +120,6 @@ class BkSpec:
     n: int
     k: int
     x: int
-    y: int = field(init=False)
 
     def __post_init__(self):
         n, k, x = self.n, self.k, self.x
@@ -132,9 +131,11 @@ class BkSpec:
             raise Infeasible(
                 f"x={x} violates 2 <= x <= n-k-x = {n - k - x} for n={n}, k={k}"
             )
-        x = int(x)  # an equal Fraction or float is stored as the int it equals
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", n - k - x)
+        object.__setattr__(self, "x", int(x))  # an equal Fraction or float is stored as its int
+
+    @property
+    def y(self) -> int:
+        return self.n - self.k - self.x
 
     @property
     def is_star(self) -> bool:

@@ -74,10 +74,11 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Sharp bound over graphs with n vertices and k cut edges, on its IndexKind.bound_direction side."""
+    """Sharp bound over graphs with n vertices and k cut edges, on its IndexKind.bound_direction side.
+
+    family is every optimal B_k(x, n-k-x) in ascending x: read the optimal x from it."""
 
     value: Fraction
-    optimal_x: tuple[int, ...]
     family: tuple[BkSpec, ...]
 
 
@@ -90,12 +91,10 @@ def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
     xs = admissible_x(n, k)
     if not xs:
         value = Fraction(compute(kind, star(n)))
-        return BoundResult(value, (1,), (BkSpec(n, k, 1),))
+        return BoundResult(value, (BkSpec(n, k, 1),))
     values = {x: closed_form(kind, n, k, x) for x in xs}
     best = min(values.values()) if kind.bound_direction == "lower" else max(values.values())
-    optimal = tuple(x for x in xs if values[x] == best)
-    family = tuple(BkSpec(n, k, x) for x in optimal)
-    return BoundResult(best, optimal, family)
+    return BoundResult(best, tuple(BkSpec(n, k, x) for x in xs if values[x] == best))
 
 
 @dataclass(frozen=True)
@@ -215,47 +214,34 @@ def case_table(kind: IndexKind, n: int, k: int) -> CaseRow:
 
 @dataclass(frozen=True)
 class Reconciliation:
-    """Direct optimization vs the fixed table, with every disagreement listed."""
+    """Direct optimization vs the fixed table. notes lists every disagreement,
+    one each; the two answers agree iff it is empty."""
 
     computed: BoundResult
     table: CaseRow
-    value_match: bool
-    family_match: bool
-    direction_conflict: bool
     notes: tuple[str, ...]
 
     @property
     def consistent(self) -> bool:
-        return self.value_match and self.family_match and not self.direction_conflict
+        return not self.notes
 
 
 def reconcile(kind: IndexKind, n: int, k: int) -> Reconciliation:
     computed = optimize(kind, n, k)
     row = case_table(kind, n, k)
-    value_match = row.value == computed.value
-    same_family = set(row.family) == set(computed.family)
-    family_match = row.family_valid and same_family
     derived = ">=" if kind.bound_direction == "lower" else "<="
-    direction_conflict = row.relation != derived
     notes = []
-    if direction_conflict:
+    if row.relation != derived:
         notes.append(
             f"table prints {row.relation} but the family sits on the"
             f" {kind.bound_direction} side ({derived})"
         )
-    if not value_match:
+    if row.value != computed.value:
         notes.append(f"table value {row.value} != optimized value {computed.value}")
     if not row.family_valid:  # only a fractional x is ever out of range
         bad = ", ".join(str(x) for x in row.x_values if x.denominator != 1)
         notes.append(f"table optimizer x = {bad} is not an integer")
-    elif not same_family:
-        notes.append(
-            "table family {"
-            + ", ".join(sorted(s.label() for s in row.family))
-            + "} != optimized family {"
-            + ", ".join(sorted(s.label() for s in computed.family))
-            + "}"
-        )
-    return Reconciliation(
-        computed, row, value_match, family_match, direction_conflict, tuple(notes)
-    )
+    elif set(row.family) != set(computed.family):
+        table, optimal = (", ".join(sorted(s.label() for s in f)) for f in (row.family, computed.family))
+        notes.append(f"table family {{{table}}} != optimized family {{{optimal}}}")
+    return Reconciliation(computed, row, tuple(notes))

@@ -371,18 +371,17 @@ def _sweep(
         if not ks:
             continue
         groups = _by_cut_edges(enumerate_connected_bipartite(n, cap), ks)
-        for k, candidates in groups.items():
-            if not candidates:
-                raise Infeasible(
-                    f"enumeration produced no graph with n={n}, k={k} cut edges"
-                )
-            best = _best_multi(candidates, todo[k])
+        for k in ks:
+            best = _best_multi(groups.pop(k), todo[k])
+            if not best:
+                raise Infeasible(f"enumeration produced no graph with n={n}, k={k} cut edges")
             for kind in todo[k]:
                 bound = optimize(kind, n, k)
                 value, graphs = best[kind]
                 found = _certs(graphs)
                 family = _certs(b_graph(spec) for spec in bound.family)
                 yield VerificationReport(kind, n, k, Fraction(value), found, bound.value, family)
+            del best, graphs  # this frame waits across yields: no class may outlive its k
 
 
 def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
@@ -391,8 +390,10 @@ def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
     A row that does not parse, or that to_dict would not write back as it
     stands, raises ValueError naming the file and its 1-based line, e.g.
     the cut last line of an interrupted run or a verdict its values deny.
+    So does a row whose (index, n, k) an earlier line holds.
     """
     out: dict[tuple[str, int, int], VerificationReport] = {}
+    seen: dict[tuple[str, int, int], int] = {}  # the line of each key read
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -408,7 +409,12 @@ def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:
                 raise ValueError(
                     f"{path}, line {lineno}: not a report row ({e!r})"
                 ) from e
-            out[(report.index.value, report.n, report.k)] = report
+            key = (report.index.value, report.n, report.k)
+            if key in seen:
+                row = f"the {key[0]} row for n={key[1]}, k={key[2]}"
+                raise ValueError(f"{path}, line {lineno}: {row} repeats line {seen[key]}")
+            seen[key] = lineno
+            out[key] = report
     return out
 
 

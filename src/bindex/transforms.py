@@ -170,10 +170,15 @@ def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
 
 @dataclass(frozen=True, eq=False)
 class EdgeProbe:
+    """Index deltas of adding edge (u, v); consistent iff each meets EDGE_ADDITION_SIGNS."""
+
     u: int
     v: int
     deltas: dict[IndexKind, int | Fraction]
-    consistent: bool
+
+    @property
+    def consistent(self) -> bool:
+        return all(holds(self.deltas[k], want) for k, want in EDGE_ADDITION_SIGNS.items())
 
 
 def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> tuple[EdgeProbe, ...]:
@@ -202,7 +207,5 @@ def monotonicity_probe(g: Graph, samples: int | None = None, seed: int = 0) -> t
     probes = []
     for u, v in absent:
         after = all_indices(add_edge(g, u, v))
-        deltas = {kind: after[kind] - base[kind] for kind in IndexKind}
-        ok = all(holds(deltas[k], want) for k, want in EDGE_ADDITION_SIGNS.items())
-        probes.append(EdgeProbe(u, v, deltas, ok))
+        probes.append(EdgeProbe(u, v, {kind: after[kind] - base[kind] for kind in IndexKind}))
     return tuple(probes)

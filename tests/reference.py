@@ -87,6 +87,12 @@ computes every index of every candidate and keeps, per kind, the optimum
 and every graph attaining it. The pruned ranking must give the same value
 and the same extremal graphs on every group of candidates.
 
+reconcile_findings derives the three findings reconcile once stored beside
+its notes: whether the table's value equals the optimum, whether its family
+is realizable and equals the optimal family, and whether its printed
+relation contradicts the index's bound side. Each failed finding must have
+exactly one note.
+
 case_table_family is how bindex's case table decided a row's family before
 it asked admissible_x: each printed x must have denominator 1 and survive
 BkSpec, whose Infeasible marks the row invalid, and an x-free row with
@@ -630,3 +636,15 @@ def case_table_family(
                 pass
         valid = False
     return tuple(family), valid
+
+
+def reconcile_findings(kind: IndexKind, rec) -> tuple[bool, bool, bool]:
+    """(value_match, family_match, direction_conflict) of a Reconciliation,
+    from its two answers alone."""
+    table, computed = rec.table, rec.computed
+    derived = ">=" if kind.bound_direction == "lower" else "<="
+    return (
+        table.value == computed.value,
+        table.family_valid and set(table.family) == set(computed.family),
+        table.relation != derived,
+    )

@@ -339,6 +339,21 @@ def test_verify_resume_rejects_a_row_it_would_not_write(tmp_path, change, messag
     assert res.stderr == f"error: {out}, line 1: not a report row ({message})\n"
 
 
+@pytest.mark.parametrize("mismatch_first", [True, False], ids=["mismatch-first", "match-first"])
+def test_verify_resume_rejects_a_repeated_row(tmp_path, mismatch_first):
+    # a second row for (w, 5, 1) would silently replace the first, so either
+    # order is an error, not a verdict
+    row = json.loads(run("verify", "--n", "5", "--index", "w", "--k", "1").stdout)
+    rows = [{**row, "oracle_value": "0", "verdict": "value-mismatch"}, row]
+    if not mismatch_first:
+        rows.reverse()
+    out = tmp_path / "rows.jsonl"
+    out.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    res = run("verify", "--n", "5", "--index", "w", "--k", "1", "--out", str(out), "--resume", "--strict")
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == f"error: {out}, line 2: the w row for n=5, k=1 repeats line 1\n"
+
+
 def test_verify_reports_a_computed_mismatch(monkeypatch):
     # the oracle and the closed forms agree on every row, so break the prediction:
     # one row's predicted value off by one
@@ -942,4 +957,4 @@ def test_readme_library_example_runs():
     )
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
-    assert "8 11" in lines and "48 (2,)" in lines and "match" in lines  # the values its comments state
+    assert "8 11" in lines and "48 [2]" in lines and "match" in lines  # the values its comments state

@@ -92,6 +92,7 @@ def test_decorated_core_validation():
 def test_bk_spec_validation():
     spec = BkSpec(9, 2, 3)
     assert spec.y == 4
+    assert [f.name for f in fields(spec)] == ["n", "k", "x"]  # y = n - k - x is derived
     assert not spec.is_star
     assert spec.label() == "B_2(3,4)"
     assert BkSpec(7, 6, 1).is_star

@@ -18,6 +18,7 @@ from bindex.constructors import (
 )
 from bindex.extremal import (
     TABLE_RELATION,
+    Reconciliation,
     admissible_x,
     case_table,
     closed_form,
@@ -25,7 +26,7 @@ from bindex.extremal import (
     reconcile,
 )
 from bindex.indices import IndexKind, all_indices, compute
-from reference import case_table_family
+from reference import case_table_family, reconcile_findings
 
 F = Fraction
 
@@ -81,16 +82,16 @@ def test_admissible_x():
 
 def test_optimize_known_answers():
     r = optimize(W, 11, 2)
-    assert r.value == 94 and r.optimal_x == (3, 4)
+    assert r.value == 94 and [s.x for s in r.family] == [3, 4]
     assert tuple(s.label() for s in r.family) == ("B_2(3,6)", "B_2(4,5)")
     r = optimize(W, 10, 4)
-    assert r.value == 82 and r.optimal_x == (2,)
+    assert r.value == 82 and [s.x for s in r.family] == [2]
     r = optimize(CEI, 7, 1)
-    assert r.value == F(53, 6) and r.optimal_x == (3,)
+    assert r.value == F(53, 6) and [s.x for s in r.family] == [3]
     r = optimize(W, 8, 2)
-    assert r.value == 48 and r.optimal_x == (2,)
-    # the side is the index's own, not stored on the result
-    assert [f.name for f in fields(r)] == ["value", "optimal_x", "family"]
+    assert r.value == 48 and [s.x for s in r.family] == [2]
+    # the side is the index's own and the optimal x are the family's: neither is stored
+    assert [f.name for f in fields(r)] == ["value", "family"]
     assert W.bound_direction == "lower"
     assert H.bound_direction == "upper"
 
@@ -99,11 +100,13 @@ def test_optimize_result_invariants():
     for n, k in nonstar_rows(5, 14):
         for kind in IndexKind:
             r = optimize(kind, n, k)
-            assert r.optimal_x
-            assert len(r.family) == len(r.optimal_x)
-            for x, spec in zip(r.optimal_x, r.family):
-                assert spec == BkSpec(n, k, x)
-                assert closed_form(kind, n, k, x) == r.value
+            assert r.family
+            # every optimal x, once each and ascending
+            assert [s.x for s in r.family] == [
+                x for x in admissible_x(n, k) if closed_form(kind, n, k, x) == r.value
+            ]
+            for spec in r.family:
+                assert spec == BkSpec(n, k, spec.x)
             # optimum beats every other admissible x
             for x in admissible_x(n, k):
                 val = closed_form(kind, n, k, x)
@@ -119,7 +122,7 @@ def test_optimize_star_rows_use_true_star_values():
         for kind in IndexKind:
             r = optimize(kind, n, n - 1)
             assert r.value == true[kind]
-            assert r.optimal_x == (1,)
+            assert [s.x for s in r.family] == [1]
             assert r.family == (BkSpec(n, n - 1, 1),)
 
 
@@ -141,7 +144,7 @@ def test_wiener_tie_structure():
                 continue
             r = optimize(W, n, k)
             expect_tie = n % 2 == 1 and k <= (n - 5) // 2
-            assert (len(r.optimal_x) == 2) == expect_tie, (n, k)
+            assert (len(r.family) == 2) == expect_tie, (n, k)
 
 
 def test_case_table_totality_and_shape():
@@ -258,10 +261,11 @@ def test_reconcile_ww_findings():
     family_only = set()
     for n, k in nonstar_rows(5, 12):
         r = reconcile(WW, n, k)
-        assert r.direction_conflict  # printed as an upper bound, proved a minimum
-        if not r.value_match:
+        value_match, family_match, direction_conflict = reconcile_findings(WW, r)
+        assert direction_conflict  # printed as an upper bound, proved a minimum
+        if not value_match:
             value_mismatches.add((n, k))
-        elif not r.family_match:
+        elif not family_match:
             family_only.add((n, k))
     assert value_mismatches == {(7, 1), (9, 1), (10, 2), (11, 1), (11, 2)}
     assert family_only == {(10, 1)}
@@ -282,8 +286,8 @@ def test_reconcile_eds_family_tie():
     # the quadratic's vertex lands exactly between 2 and 3: two minimizers,
     # the table names only one
     r = reconcile(EDS, 11, 1)
-    assert r.value_match and not r.family_match
-    assert r.computed.optimal_x == (2, 3)
+    assert reconcile_findings(EDS, r) == (True, False, False)
+    assert [s.x for s in r.computed.family] == [2, 3]
     assert r.table.x_values == (2,)
     for n, k in nonstar_rows(5, 12):
         if (n, k) != (11, 1):
@@ -293,24 +297,48 @@ def test_reconcile_eds_family_tie():
 def test_reconcile_eds_off_by_one_regression():
     # adjacent boundary regime: printed value exceeds the true optimum by 1
     r = reconcile(EDS, 15, 2)
-    assert not r.value_match
+    assert not reconcile_findings(EDS, r)[0]
+    assert r.notes == (
+        "table value 827 != optimized value 826",
+        "table family {B_2(2,11)} != optimized family {B_2(3,10)}",
+    )
     assert r.table.value == 827
     assert r.computed.value == 826
-    assert r.computed.optimal_x == (3,)
+    assert [s.x for s in r.computed.family] == [3]
 
 
 def test_reconcile_star_rows():
     for n in range(5, 13):
         for kind in IndexKind:
             r = reconcile(kind, n, n - 1)
-            assert r.family_match
-            assert r.value_match == (kind in (WW, H))
-            assert r.direction_conflict == (kind is WW)
+            value_match, family_match, direction_conflict = reconcile_findings(kind, r)
+            assert family_match
+            assert value_match == (kind in (WW, H))
+            assert direction_conflict == (kind is WW)
             if kind is W:
                 assert r.table.value == F(n * (n - 1), 2)
                 assert r.computed.value == (n - 1) ** 2
             if kind in (CEI, EDS):
                 assert r.table.value == F(n * n + n - 2, 4)
+
+
+def test_reconcile_notes_every_disagreement_once():
+    # notes are the only record of a finding: consistent is exactly the
+    # conjunction of the three comparisons, and each failed one has one note
+    assert [f.name for f in fields(Reconciliation)] == ["computed", "table", "notes"]
+    for n in range(5, 61):
+        for k in bound_cut_edge_counts(n):
+            for kind in IndexKind:
+                r = reconcile(kind, n, k)
+                value_match, family_match, direction_conflict = reconcile_findings(kind, r)
+                assert r.consistent == (value_match and family_match and not direction_conflict)
+                family_note = "optimizer" if not r.table.family_valid else "family"
+                expected = (
+                    ["prints"] * direction_conflict
+                    + ["value"] * (not value_match)
+                    + [family_note] * (not family_match)
+                )
+                assert [note.split()[1] for note in r.notes] == expected, (kind, n, k)
 
 
 def test_compute_on_family_members_beats_table_direction():

@@ -316,6 +316,29 @@ def test_sweep_keeps_no_class_whose_k_has_no_rows(monkeypatch):
     assert counts == [counts[-1]] * len(counts)
 
 
+def test_sweep_keeps_no_class_of_the_last_n_while_it_enumerates_the_next(monkeypatch):
+    # the same refcount comparison, taken as the enumeration of n = 8 starts:
+    # every class of n = 7, ranked or not, must be gone by then
+    real = oracle.enumerate_connected_bipartite
+    seen = []
+    counts = []
+
+    def tracked(n, cap):
+        if n == 8:
+            gc.collect()
+            seen.append(tuple(list(seen[0])))  # the control
+            counts.extend(sys.getrefcount(g) for g in seen)
+        for g in real(n, cap):
+            if n == 7:
+                seen.append(g)
+            yield g
+
+    monkeypatch.setattr(oracle, "enumerate_connected_bipartite", tracked)
+    rows = list(verification_sweep([7, 8], cap=8))
+    assert [r.n for r in rows].count(8) == 5 * len(bound_cut_edge_counts(8))
+    assert len(seen) > 1 and counts == [counts[-1]] * len(counts)
+
+
 def test_sweep_names_a_k_the_enumeration_never_produced(monkeypatch):
     real = oracle.enumerate_connected_bipartite
     monkeypatch.setattr(

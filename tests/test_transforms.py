@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from bindex.indices import IndexKind, all_indices, compute
 from bindex.oracle import enumerate_connected_bipartite
 from bindex.transforms import (
     EDGE_ADDITION_SIGNS,
+    EdgeProbe,
     contract_bridge,
     holds,
     monotonicity_probe,
@@ -389,6 +391,12 @@ def test_probe_star_and_cycle_are_consistent():
         probes = monotonicity_probe(g)
         assert all(p.consistent for p in probes)
     assert len(monotonicity_probe(star(6))) == 10  # all leaf pairs
+    # consistent is derived from the deltas: one wrong sign, or a zero, breaks it
+    (probe, *_) = monotonicity_probe(cycle(6))
+    assert [f.name for f in fields(probe)] == ["u", "v", "deltas"]
+    for kind in IndexKind:
+        for wrong in (-probe.deltas[kind], 0):
+            assert EdgeProbe(probe.u, probe.v, {**probe.deltas, kind: wrong}).consistent is False
 
 
 def test_probe_computes_the_base_graph_once(monkeypatch):
