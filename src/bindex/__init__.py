@@ -46,10 +46,8 @@ from .oracle import (
     enumerate_connected_bipartite,
     labeled_class_certificates,
     verification_sweep,
-    verify_bound,
 )
 from .transforms import (
-    ShiftPrediction,
     contract_bridge,
     monotonicity_probe,
     shift_pendants_across_parts,
@@ -67,7 +65,6 @@ __all__ = [
     "IndexKind",
     "Infeasible",
     "Reconciliation",
-    "ShiftPrediction",
     "VerificationReport",
     "add_edge",
     "admissible_x",
@@ -96,5 +93,4 @@ __all__ = [
     "shift_pendants_within_part",
     "star",
     "verification_sweep",
-    "verify_bound",
 ]

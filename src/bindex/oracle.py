@@ -21,13 +21,13 @@ the point: their agreement is checked, not assumed, and a branch dropped
 in error would show as a count mismatch against the enumeration and OEIS
 A001832.
 
-verification_sweep is the one verification path: it enumerates each n
-once, keeps the classes of each cut edge count with rows to do (enumerate
---k groups by the same _by_cut_edges), finds each index's optimum and
-certifies it next to the predicted family. verify_bound returns one of its
-rows. One size guard, cap, bounds the enumeration, and the library
-certifies only graphs under it, so certificate has no guard of its own.
-The sweep checks every n and k before any work starts.
+verification_sweep is the one verification path, and one row is
+verification_sweep([n], [kind], [k]): it enumerates each n once, keeps the
+classes of each cut edge count with rows to do (enumerate --k groups by the
+same _by_cut_edges), finds each index's optimum and certifies it next to
+the predicted family. One size guard, cap, bounds the enumeration, and the
+library certifies only graphs under it, so certificate has no guard of its
+own. The sweep checks every n and k before any work starts.
 
 The optimum is found by branch and bound, yet stays exhaustive. In a
 connected bipartite graph every distance has the parity of its ends' parts,
@@ -345,14 +345,6 @@ def verification_sweep(
                 "and the tree row k = n-1"
             )
     return _sweep(plan, list(IndexKind if kinds is None else kinds), cap, set(skip))
-
-
-def verify_bound(
-    kind: IndexKind, n: int, k: int, cap: int = DEFAULT_CAP
-) -> VerificationReport:
-    """The one verification_sweep row for (kind, n, k): value and extremal set."""
-    (report,) = verification_sweep([n], [kind], [k], cap)
-    return report
 
 
 def _sweep(

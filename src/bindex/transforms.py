@@ -82,24 +82,10 @@ def contract_bridge(g: Graph, u: int, w: int) -> Graph:
     return tuple(adj)
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftPrediction:
-    """Contract of one pendant shift: per index, its exact delta or its sign."""
-
-    shifted: DecoratedCore
-    expected: dict[IndexKind, Fraction | str]
-
-
-def _part_of(core: DecoratedCore, vertex: int) -> int:
-    if not 0 <= vertex < core.s + core.t:
-        raise Infeasible(f"core vertex {vertex} out of range")
-    return 0 if vertex < core.s else 1
-
-
 def shift_pendants_within_part(
     core: DecoratedCore, donor: int, receiver: int
-) -> ShiftPrediction:
-    """Move all of donor's pendants onto receiver (same core part).
+) -> tuple[DecoratedCore, dict[IndexKind, Fraction | str]]:
+    """Move all of donor's pendants onto receiver (same core part): (shifted, expected).
 
     With a = pendants(donor) and b = pendants(receiver), both >= 1, the
     exact deltas are W: -2ab, WW: -7ab, H: +ab/4. CEI stays exactly flat
@@ -112,7 +98,10 @@ def shift_pendants_within_part(
         raise Infeasible("within-part shift needs both core parts of size >= 2")
     if donor == receiver:
         raise ValueError("donor and receiver must differ")
-    if _part_of(core, donor) != _part_of(core, receiver):
+    for vertex in (donor, receiver):
+        if not 0 <= vertex < core.s + core.t:
+            raise Infeasible(f"core vertex {vertex} out of range")
+    if (donor < core.s) != (receiver < core.s):
         raise ValueError("donor and receiver must sit in the same core part")
     a = core.pendants[donor]
     b = core.pendants[receiver]
@@ -133,11 +122,13 @@ def shift_pendants_within_part(
         IndexKind.CEI: Fraction(0) if third_decorated else ">0",
         IndexKind.EDS: Fraction(-16 * a * b) if third_decorated else "<0",
     }
-    return ShiftPrediction(shifted, expected)
+    return shifted, expected
 
 
-def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
-    """Move the large-part pendants onto the decorated small-part vertex.
+def shift_pendants_across_parts(
+    core: DecoratedCore,
+) -> tuple[DecoratedCore, dict[IndexKind, Fraction | str]]:
+    """Move the large-part pendants onto the decorated small-part vertex: (shifted, expected).
 
     The core must be K_{s,t} with 2 <= s <= t and pendants on exactly two
     vertices: a >= 1 on small-part vertex 0 and b >= 1 on large-part vertex
@@ -165,7 +156,7 @@ def shift_pendants_across_parts(core: DecoratedCore) -> ShiftPrediction:
         IndexKind.W: Fraction(-a * b + b * (s - t)),
         IndexKind.CEI: Fraction(s * (t - 1), 6),
     }
-    return ShiftPrediction(shifted, expected)
+    return shifted, expected
 
 
 @dataclass(frozen=True, eq=False)

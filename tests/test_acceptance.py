@@ -250,8 +250,8 @@ def test_criterion_5_transformation_contracts():
             for a in range(1, 4):
                 for b in range(1, 4):
                     core = DecoratedCore.make(s, t, {0: a, 1: b})
-                    pred = shift_pendants_within_part(core, 0, 1)
-                    deltas = index_deltas(realize(core), realize(pred.shifted))
+                    shifted, _ = shift_pendants_within_part(core, 0, 1)
+                    deltas = index_deltas(realize(core), realize(shifted))
                     assert deltas[W] == -2 * a * b
                     assert deltas[WW] == -7 * a * b
                     assert deltas[H] == F(a * b, 4)
@@ -259,8 +259,8 @@ def test_criterion_5_transformation_contracts():
                     assert deltas[EDS] < 0
 
                     core = DecoratedCore.make(s, t, {0: a, s: b})
-                    pred = shift_pendants_across_parts(core)
-                    deltas = index_deltas(realize(core), realize(pred.shifted))
+                    shifted, _ = shift_pendants_across_parts(core)
+                    deltas = index_deltas(realize(core), realize(shifted))
                     assert deltas[CEI] == F(s * (t - 1), 6)
                     assert deltas[W] < 0 and deltas[WW] < 0 and deltas[EDS] < 0
                     assert deltas[H] > 0
@@ -428,10 +428,11 @@ def _phase_2(core, n, k, shifts):
         assert certificate(realize(relabelled)) == certificate(realize(core))
         return relabelled
 
-    def shift(pred, kind):
-        assert contract_holds(pred.expected, index_deltas(realize(core), realize(pred.shifted)))
+    def shift(result, kind):
+        shifted, expected = result
+        assert contract_holds(expected, index_deltas(realize(core), realize(shifted)))
         shifts[kind] += 1
-        return pred.shifted
+        return shifted
 
     s, t, p = core.s, core.t, core.pendants
     if s > t:

@@ -847,12 +847,12 @@ def test_probe_reports_a_broken_contract(monkeypatch, broken):
     real = cli.shift_pendants_within_part
 
     def wrong(core, donor, receiver):
-        pred = real(core, donor, receiver)
+        shifted, expected = real(core, donor, receiver)
         if broken == "exact":
-            bad = {IndexKind.WW: pred.expected[IndexKind.WW] + 1}
+            bad = {IndexKind.WW: expected[IndexKind.WW] + 1}
         else:
             bad = {IndexKind.H: "<0"}  # H rises here, so "<0" must fail
-        return replace(pred, expected={**pred.expected, **bad})
+        return shifted, {**expected, **bad}
 
     monkeypatch.setattr(cli, "shift_pendants_within_part", wrong)
     args = ["probe", "shift-within", "--s", "3", "--t", "3", "--a", "2", "--b", "3",
@@ -958,3 +958,25 @@ def test_readme_library_example_runs():
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     assert "8 11" in lines and "48 [2]" in lines and "match" in lines  # the values its comments state
+
+
+def test_readme_shell_examples_run(tmp_path):
+    # each `bindex ...` line of README's "Command line" block, run by bash in an
+    # empty directory; pipefail makes the construct | indices pipe fail if either side does
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S)
+    lines = [line for line in block.splitlines() if line.startswith("bindex ")]
+    assert len(lines) == 6
+    bindex = f'"{sys.executable}" -m bindex'
+    path = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    for line in lines:
+        res = subprocess.run(
+            ["bash", "-o", "pipefail", "-c", re.sub(r"\bbindex\b", lambda _: bindex, line)],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert res.returncode == 0, (line, res.stderr)
+    assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 25  # verify --n 8 --out

@@ -1,7 +1,8 @@
 """Exhaustive enumeration, the verification sweep and its plumbing.
 
-verify_bound is one row of verification_sweep, so its tests also cover the
-sweep's optimum, certificates and up-front request checks.
+The test_verify_bound_* tests ask verification_sweep for one (index, n, k)
+row, so they also cover the sweep's optimum, certificates and up-front
+request checks.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from bindex.oracle import (
     labeled_connected_bipartite_masks,
     load_reports,
     verification_sweep,
-    verify_bound,
 )
 import reference
 from conftest import random_connected_bipartite
@@ -161,7 +161,7 @@ def test_cut_edge_histogram_n6():
 
 
 def test_verify_bound_known_optimum():
-    report = verify_bound(W, 8, 2)
+    (report,) = verification_sweep([8], [W], [2])
     assert report.oracle_value == 48
     assert report.oracle_certificates == (certificate(b_graph(BkSpec(8, 2, 2))),)
     # the other family member is strictly worse here
@@ -179,7 +179,7 @@ def test_verify_bound_known_optimum():
 def test_verify_bound_verdict_names_what_differs(monkeypatch, change, verdict):
     real = oracle.optimize
     monkeypatch.setattr(oracle, "optimize", lambda *args: replace(real(*args), **change))
-    report = verify_bound(W, 8, 2)
+    (report,) = verification_sweep([8], [W], [2])
     assert report.verdict == verdict
     assert not report.matched
 
@@ -358,14 +358,14 @@ def test_sweep_names_a_k_the_enumeration_never_produced(monkeypatch):
 
 def test_verify_bound_infeasible_k():
     with pytest.raises(Infeasible):
-        verify_bound(W, 8, 5)  # n-3 cut edges never occur
+        verification_sweep([8], [W], [5])  # n-3 cut edges never occur
 
 
 def test_verify_bound_is_the_sweep_row():
     sweep = {(r.index, r.n, r.k): r for r in verification_sweep(range(5, 9))}
     assert len(sweep) == sum(len(bound_cut_edge_counts(n)) for n in range(5, 9)) * len(IndexKind)
     for (kind, n, k), row in sweep.items():
-        assert verify_bound(kind, n, k) == row
+        assert list(verification_sweep([n], [kind], [k])) == [row]
 
 
 @pytest.mark.parametrize("k", [5, 0, 9])
@@ -404,7 +404,7 @@ def test_enumeration_below_one_vertex_is_infeasible(n):
 
 def test_verify_bound_rows_match():
     for k in bound_cut_edge_counts(8):
-        report = verify_bound(W, 8, k)
+        (report,) = verification_sweep([8], [W], [k])
         assert report.matched, k
         assert report.verdict == "match"
         assert report.oracle_value == report.predicted_value
@@ -453,7 +453,7 @@ def test_verification_sweep_certificates_use_the_same_cap(monkeypatch):
 
 
 def test_report_round_trip(tmp_path):
-    report = verify_bound(IndexKind.H, 6, 1)
+    (report,) = verification_sweep([6], [IndexKind.H], [1])
     assert VerificationReport.from_dict(report.to_dict()) == report
     path = tmp_path / "rows.jsonl"
     with open(path, "w") as fh:
@@ -464,7 +464,7 @@ def test_report_round_trip(tmp_path):
 
 def test_load_reports_accepts_a_row_with_elapsed_ms(tmp_path):
     # rows written before the timing field was dropped still resume
-    report = verify_bound(IndexKind.H, 6, 1)
+    (report,) = verification_sweep([6], [IndexKind.H], [1])
     assert "elapsed_ms" not in report.to_dict()
     path = tmp_path / "rows.jsonl"
     path.write_text(json.dumps({**report.to_dict(), "elapsed_ms": 0.412}) + "\n")
@@ -504,7 +504,8 @@ def test_committed_rows_match_the_bounds(size, count):
     ],
 )
 def test_load_reports_names_file_and_line_of_a_bad_row(tmp_path, bad):
-    row = verify_bound(IndexKind.H, 6, 1).to_dict()
+    (report,) = verification_sweep([6], [IndexKind.H], [1])
+    row = report.to_dict()
     good = json.dumps(row).encode("ascii")
     if isinstance(bad, dict):  # parses, but to_dict would not write it back
         bad = json.dumps({**row, **bad}).encode("ascii")

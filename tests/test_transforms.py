@@ -209,22 +209,22 @@ def test_contract_bridge_contract_on_any_bridge(bridge):
 
 def test_within_part_shift_minimal_example():
     core = DecoratedCore.make(2, 2, {0: 1, 1: 1})
-    pred = shift_pendants_within_part(core, 0, 1)
-    deltas = index_deltas(realize(core), realize(pred.shifted))
+    shifted, expected = shift_pendants_within_part(core, 0, 1)
+    deltas = index_deltas(realize(core), realize(shifted))
     assert deltas[IndexKind.W] == -2
     assert deltas[IndexKind.WW] == -7
     assert deltas[IndexKind.H] == F(1, 4)
-    assert contract_holds(pred.expected, deltas)
+    assert contract_holds(expected, deltas)
 
 
 def test_within_part_shift_flat_cei_case():
     # a third decorated vertex in the same part pins every eccentricity
     core = DecoratedCore.make(3, 3, {0: 2, 1: 3, 2: 1})
-    pred = shift_pendants_within_part(core, 0, 1)
-    deltas = index_deltas(realize(core), realize(pred.shifted))
+    shifted, expected = shift_pendants_within_part(core, 0, 1)
+    deltas = index_deltas(realize(core), realize(shifted))
     assert deltas[IndexKind.CEI] == 0
     assert deltas[IndexKind.EDS] == -16 * 2 * 3
-    assert contract_holds(pred.expected, deltas)
+    assert contract_holds(expected, deltas)
 
 
 def test_within_part_shift_grid():
@@ -244,12 +244,12 @@ def test_within_part_shift_grid():
                         setups.append(({s: a, s + 1: b, s + 2: 2}, s, s + 1, None))
                     for pendants, donor, receiver, far_part in setups:
                         core = DecoratedCore.make(s, t, pendants)
-                        pred = shift_pendants_within_part(core, donor, receiver)
-                        before, after = realize(core), realize(pred.shifted)
+                        shifted, expected = shift_pendants_within_part(core, donor, receiver)
+                        before, after = realize(core), realize(shifted)
                         assert len(after) == len(before)
                         assert edge_count(after) == edge_count(before)
                         deltas = index_deltas(before, after)
-                        assert contract_holds(pred.expected, deltas), (s, t, pendants)
+                        assert contract_holds(expected, deltas), (s, t, pendants)
                         assert deltas[IndexKind.W] == -2 * a * b
                         assert deltas[IndexKind.WW] == -7 * a * b
                         assert deltas[IndexKind.H] == F(a * b, 4)
@@ -312,9 +312,9 @@ def test_within_part_shift_contract_on_any_core(shift):
         with pytest.raises(ValueError, match=reason):
             shift_pendants_within_part(core, donor, receiver)
         return
-    pred = shift_pendants_within_part(core, donor, receiver)
-    deltas = index_deltas(realize(core), realize(pred.shifted))
-    assert contract_holds(pred.expected, deltas)
+    shifted, expected = shift_pendants_within_part(core, donor, receiver)
+    deltas = index_deltas(realize(core), realize(shifted))
+    assert contract_holds(expected, deltas)
     assert deltas[IndexKind.W] == -2 * a * b
     assert deltas[IndexKind.WW] == -7 * a * b
     assert deltas[IndexKind.H] == F(a * b, 4)
@@ -342,20 +342,20 @@ def test_across_part_shift_contract_on_any_core(core):
         with pytest.raises(ValueError, match=reason):
             shift_pendants_across_parts(core)
         return
-    pred = shift_pendants_across_parts(core)
-    deltas = index_deltas(realize(core), realize(pred.shifted))
-    assert contract_holds(pred.expected, deltas)
+    shifted, expected = shift_pendants_across_parts(core)
+    deltas = index_deltas(realize(core), realize(shifted))
+    assert contract_holds(expected, deltas)
     assert deltas[IndexKind.W] == -a * b + b * (s - t)
     assert deltas[IndexKind.CEI] == F(s * (t - 1), 6)
 
 
 def test_across_part_shift_minimal_example():
     core = DecoratedCore.make(2, 3, {0: 1, 2: 1})
-    pred = shift_pendants_across_parts(core)
-    deltas = index_deltas(realize(core), realize(pred.shifted))
+    shifted, expected = shift_pendants_across_parts(core)
+    deltas = index_deltas(realize(core), realize(shifted))
     assert deltas[IndexKind.CEI] == F(2 * (3 - 1), 6)
     assert deltas[IndexKind.W] == -1 + 1 * (2 - 3)
-    assert contract_holds(pred.expected, deltas)
+    assert contract_holds(expected, deltas)
 
 
 def test_across_part_shift_grid():
@@ -364,12 +364,12 @@ def test_across_part_shift_grid():
             for a in range(1, 4):
                 for b in range(1, 4):
                     core = DecoratedCore.make(s, t, {0: a, s: b})
-                    pred = shift_pendants_across_parts(core)
-                    before, after = realize(core), realize(pred.shifted)
+                    shifted, expected = shift_pendants_across_parts(core)
+                    before, after = realize(core), realize(shifted)
                     assert len(after) == len(before)
                     assert edge_count(after) == edge_count(before)
                     deltas = index_deltas(before, after)
-                    assert contract_holds(pred.expected, deltas), (s, t, a, b)
+                    assert contract_holds(expected, deltas), (s, t, a, b)
                     assert deltas[IndexKind.W] == -a * b + b * (s - t)
                     assert deltas[IndexKind.CEI] == F(s * (t - 1), 6)
                     assert deltas[IndexKind.WW] < 0
