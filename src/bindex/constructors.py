@@ -7,7 +7,10 @@ k cut edges, these are the candidates that optimize all five indices.
 
 Labeling is fixed everywhere: part X first (0..s-1), part Y next
 (s..s+t-1), then pendants in owner order. That makes every constructor
-deterministic, so equal parameters give byte-equal graph6 strings.
+deterministic, so equal parameters give byte-equal graph6 strings. Under
+it each constructor writes its neighbour masks directly, with no edge
+list: an X vertex's mask is all of Y, a Y vertex's all of X, and a
+pendant's its one owner. new_graph stays the validated path for edge lists.
 
 The parameter rules of the bounds live here too, each stated once:
 check_bound_row decides which (n, k) the bounds cover (n >= 5, then
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, new_graph
+from .graphs import Graph
+from .graphs import new_graph  # noqa: F401  benchmarks/spans.py wraps bindex.constructors.new_graph
 
 
 class Infeasible(ValueError):
@@ -35,10 +39,13 @@ def star(n: int) -> Graph:
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
-    """K_{s,t} with part X = 0..s-1 and part Y = s..s+t-1."""
+    """K_{s,t} with part X = 0..s-1 and part Y = s..s+t-1.
+
+    Its s + t masks are written directly: s copies of Y's mask, then t of X's.
+    """
     if s < 1 or t < 1:
         raise Infeasible(f"complete bipartite parts must be >=1, got ({s}, {t})")
-    return new_graph(s + t, ((u, s + v) for u in range(s) for v in range(t)))
+    return (((1 << t) - 1) << s,) * s + ((1 << s) - 1,) * t
 
 
 @dataclass(frozen=True)
@@ -76,12 +83,11 @@ class DecoratedCore:
 def realize(core: DecoratedCore) -> Graph:
     """Build the graph of a decorated core under the fixed labeling.
 
-    The masks are written directly: each X vertex sees all of Y, each Y
-    vertex all of X, and each owner's pendants form one block of labels.
+    The masks are written directly: K_{s,t}'s, then each owner's pendants
+    as one block of labels.
     """
-    s, t = core.s, core.t
-    adj = [((1 << t) - 1) << s] * s + [(1 << s) - 1] * t
-    label = s + t
+    adj = list(complete_bipartite(core.s, core.t))
+    label = len(adj)
     for owner, count in enumerate(core.pendants):
         adj[owner] |= ((1 << count) - 1) << label
         adj.extend([1 << owner] * count)
@@ -152,11 +158,15 @@ def b_graph(spec: BkSpec) -> Graph:
 
     Vertices of degree y = n - k - x sit in the part of size x, so the
     decorated vertex is X-side vertex 0; pendants take labels n-k..n-1.
+    The masks are K_{x,y}'s with the k pendant bits OR'd into vertex 0,
+    then k pendant masks 1: the graph realize gives for that core, built
+    with no pendant tuple or owner loop.
     """
+    n, k = spec.n, spec.k
     if spec.is_star:
-        return star(spec.n)
-    core = DecoratedCore.make(spec.x, spec.y, {0: spec.k})
-    return realize(core)
+        return star(n)
+    core = complete_bipartite(spec.x, n - k - spec.x)
+    return (core[0] | ((1 << k) - 1) << (n - k),) + core[1:] + (1,) * k
 
 
 def feasible_cut_edge_counts(n: int) -> tuple[int, ...]:

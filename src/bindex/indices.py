@@ -57,6 +57,9 @@ class IndexKind(str, Enum):
         return "lower" if self in (IndexKind.W, IndexKind.WW, IndexKind.EDS) else "upper"
 
 
+_W, _WW, _H, _CEI, _EDS = IndexKind  # bound once: a module global beats an Enum lookup
+
+
 def _profile(g: Graph) -> list[tuple[int, int, int, tuple[int, ...]]]:
     """One (members, degree, eccentricity, count-per-distance) row per class.
 
@@ -146,16 +149,20 @@ def all_indices(
 ) -> dict[IndexKind, int | Fraction]:
     """The requested indices of g, in the order asked, from one profile pass.
 
-    W, WW and EDS are ints, H and CEI Fractions. A disconnected graph
-    raises ValueError; so does K_1, but only when CEI is requested
-    (its eccentricity is zero, so no degree/eccentricity ratio exists).
+    W, WW and EDS are ints, H and CEI Fractions. kinds is read once, so it
+    may be an iterator. A disconnected graph raises ValueError; so does
+    K_1, but only when CEI is requested (its eccentricity is zero, so no
+    degree/eccentricity ratio exists).
     """
-    rows = _profile(g)
-    diam = max((ecc for _, _, ecc, _ in rows), default=0)
-    at_distance = [0] * (diam + 1)  # ordered pairs of vertices at each distance
-    degree_at_ecc = [0] * (diam + 1)  # summed degree of the vertices of each eccentricity
-    eds = 0
-    for members, degree, ecc, counts in rows:
+    if len(g) == 1:
+        kinds = tuple(kinds)
+        if _CEI in kinds:
+            raise ValueError("cei undefined: eccentricity zero (single vertex)")
+    # no distance or eccentricity reaches n: the tallies need no diameter yet
+    at_distance = [0] * len(g)  # ordered pairs of vertices at each distance
+    degree_at_ecc = [0] * len(g)  # summed degree of the vertices of each eccentricity
+    diam = eds = 0
+    for members, degree, ecc, counts in _profile(g):
         size = members.bit_count()
         trans = 0
         for d, c in enumerate(counts):
@@ -163,6 +170,8 @@ def all_indices(
             at_distance[d] += size * c
         degree_at_ecc[ecc] += size * degree
         eds += size * ecc * trans
+        if ecc > diam:
+            diam = ecc
     # every distance and eccentricity divides lcm(1..diam): H and CEI are
     # one integer numerator each over it, normalized once
     lcm = math.lcm(*range(1, diam + 1))
@@ -175,19 +184,14 @@ def all_indices(
         h_num += share * c
         cei_num += share * degree_at_ecc[d]
     computed = {
-        IndexKind.W: sum_d // 2,
+        _W: sum_d // 2,
         # each unordered pair appears twice, and d + d^2 is even
-        IndexKind.WW: (sum_d + sum_d2) // 4,
-        IndexKind.H: Fraction(h_num, 2 * lcm),
-        IndexKind.CEI: Fraction(cei_num, lcm),
-        IndexKind.EDS: eds,
+        _WW: (sum_d + sum_d2) // 4,
+        _H: Fraction(h_num, 2 * lcm),
+        _CEI: Fraction(cei_num, lcm),
+        _EDS: eds,
     }
-    values: dict[IndexKind, int | Fraction] = {}
-    for kind in kinds:
-        if kind is IndexKind.CEI and len(g) == 1:
-            raise ValueError("cei undefined: eccentricity zero (single vertex)")
-        values[kind] = computed[kind]
-    return values
+    return {kind: computed[kind] for kind in kinds}
 
 
 def compute(kind: IndexKind, g: Graph) -> int | Fraction:

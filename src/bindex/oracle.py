@@ -254,8 +254,17 @@ def _best_multi(
     return best
 
 
-def _certs(graphs: Iterable[Graph]) -> tuple[str, ...]:
-    return tuple(sorted(certificate(g) for g in graphs))
+def _certs(graphs: Iterable[Graph], known: dict[Graph, str] | None = None) -> tuple[str, ...]:
+    """The sorted certificates of graphs, each distinct graph certified once
+    across the calls that share known."""
+    known = {} if known is None else known
+    out = []
+    for g in graphs:
+        cert = known.get(g)
+        if cert is None:
+            cert = known[g] = certificate(g)
+        out.append(cert)
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -367,13 +376,14 @@ def _sweep(
             best = _best_multi(groups.pop(k), todo[k])
             if not best:
                 raise Infeasible(f"enumeration produced no graph with n={n}, k={k} cut edges")
+            known: dict[Graph, str] = {}  # the kinds of one k share optima and families
             for kind in todo[k]:
                 bound = optimize(kind, n, k)
                 value, graphs = best[kind]
-                found = _certs(graphs)
-                family = _certs(b_graph(spec) for spec in bound.family)
+                found = _certs(graphs, known)
+                family = _certs(map(b_graph, bound.family), known)
                 yield VerificationReport(kind, n, k, Fraction(value), found, bound.value, family)
-            del best, graphs  # this frame waits across yields: no class may outlive its k
+            del best, graphs, known  # this frame waits across yields: no class may outlive its k
 
 
 def load_reports(path) -> dict[tuple[str, int, int], VerificationReport]:

@@ -185,6 +185,22 @@ def test_construct_families():
     assert res.returncode == 0 and res.stdout.strip()
 
 
+@pytest.mark.parametrize(
+    "args, want",
+    [
+        ("star --n 6", "Esa?"),
+        ("kst --s 2 --t 3", "D]o"),
+        ("kst --s 12 --t 7", "R???????????~~~~^~f~w~~B~{F~w?"),
+        ("bk --n 8 --k 2 --x 3", "GFzcC?"),
+        ("bk --n 6 --k 5", "Esa?"),
+    ],
+)
+def test_construct_output_is_pinned(args, want):
+    # the constructors write masks directly; the graph6 text must not move
+    res = CliRunner().invoke(cli.cli, ["construct", *args.split()])
+    assert (res.exit_code, res.output) == (0, want + "\n")
+
+
 def test_construct_usage_errors():
     assert run("construct", "star").returncode == 1
     assert run("construct", "bk", "--n", "8", "--k", "2").returncode == 1

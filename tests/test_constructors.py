@@ -13,6 +13,7 @@ from bindex.constructors import (
     BkSpec,
     DecoratedCore,
     Infeasible,
+    admissible_x,
     b_graph,
     bound_cut_edge_counts,
     check_bound_row,
@@ -22,7 +23,7 @@ from bindex.constructors import (
     star,
 )
 from bindex.extremal import closed_form, optimize
-from bindex.graphs import bridges, certificate, edge_count, is_connected
+from bindex.graphs import bridges, certificate, edge_count, is_connected, new_graph
 from bindex.indices import IndexKind, compute
 from bindex.oracle import enumerate_connected_bipartite
 from reference import bipartition, decorated_core_graph, degree, has_edge, neighbors
@@ -46,6 +47,14 @@ def test_complete_bipartite_shape():
     assert sorted(map(len, (part.part_x, part.part_y))) == [2, 3]
     with pytest.raises(ValueError):
         complete_bipartite(0, 3)
+
+
+def test_complete_bipartite_matches_edge_list_build():
+    # complete_bipartite writes its masks directly; new_graph is the checked edge-list path
+    for s in range(1, 13):
+        for t in range(1, 13):
+            edges = [(u, s + v) for u in range(s) for v in range(t)]
+            assert complete_bipartite(s, t) == new_graph(s + t, edges), (s, t)
 
 
 def test_decorated_core_make_and_realize():
@@ -132,13 +141,23 @@ def test_b_graph_wiener_example():
 
 
 def test_b_graph_matches_decorated_core():
-    spec = BkSpec(8, 2, 3)
-    assert b_graph(spec) == realize(DecoratedCore.make(3, 3, {0: 2}))
+    # b_graph writes its masks directly; realize builds the same core's graph
+    assert b_graph(BkSpec(8, 2, 3)) == realize(DecoratedCore.make(3, 3, {0: 2}))
+    specs = 0
+    for n in range(5, 41):
+        for k in bound_cut_edge_counts(n):
+            for x in admissible_x(n, k):
+                spec = BkSpec(n, k, x)
+                assert b_graph(spec) == realize(DecoratedCore.make(x, spec.y, {0: k})), spec
+                specs += 1
+    assert specs == 4389
 
 
 def test_b_graph_star_row():
     g = b_graph(BkSpec(6, 5, 1))
     assert certificate(g) == certificate(star(6))
+    for n in range(5, 41):
+        assert b_graph(BkSpec(n, n - 1, 1)) == star(n)
 
 
 def test_b_graph_bridges_are_k_pendant_edges():

@@ -93,6 +93,23 @@ def test_two_vertex_and_single_vertex():
         all_indices(k1)
 
 
+def test_all_indices_reads_kinds_once():
+    # a generator of kinds gives the dict the list gives, in the order asked
+    g = b_graph(BkSpec(9, 2, 3))
+    for kinds in ([EDS, W, CEI], list(IndexKind), [H]):
+        want = list(all_indices(g, kinds).items())
+        assert list(all_indices(g, (kind for kind in kinds)).items()) == want
+        assert list(want) == [(kind, all_indices(g)[kind]) for kind in kinds]
+    # K_1: every index but CEI is zero, and CEI is refused before any work
+    k1 = new_graph(1)
+    assert all_indices(k1, (W,)) == {W: 0}
+    assert all_indices(k1, (kind for kind in (H, W))) == {H: 0, W: 0}
+    for kinds in ([CEI], [W, CEI], list(IndexKind)):
+        for given_kinds in (kinds, (kind for kind in kinds)):
+            with pytest.raises(ValueError, match=r"^cei undefined: eccentricity zero \(single vertex\)$"):
+                all_indices(k1, given_kinds)
+
+
 def test_disconnected_rejected():
     g = new_graph(4, [(0, 1), (2, 3)])
     for kind in IndexKind:
