@@ -10,7 +10,7 @@ Labeling is fixed everywhere: part X first (0..s-1), part Y next
 deterministic, so equal parameters give byte-equal graph6 strings. Under
 it each constructor writes its neighbour masks directly, with no edge
 list: an X vertex's mask is all of Y, a Y vertex's all of X, and a
-pendant's its one owner. new_graph stays the validated path for edge lists.
+pendant's its one owner. new_graph is the validated path for edge lists.
 
 The parameter rules of the bounds live here too, each stated once:
 check_bound_row decides which (n, k) the bounds cover (n >= 5, then
@@ -159,8 +159,7 @@ def b_graph(spec: BkSpec) -> Graph:
     Vertices of degree y = n - k - x sit in the part of size x, so the
     decorated vertex is X-side vertex 0; pendants take labels n-k..n-1.
     The masks are K_{x,y}'s with the k pendant bits OR'd into vertex 0,
-    then k pendant masks 1: the graph realize gives for that core, built
-    with no pendant tuple or owner loop.
+    then k pendant masks 1: realize's graph for that core, written directly.
     """
     n, k = spec.n, spec.k
     if spec.is_star:

@@ -19,11 +19,12 @@ next layer lies on, stop a step once that side is all reached, and count
 the last layer without a step.
 
 The rows are tallied into ordered pairs per distance and degree per
-eccentricity, both only up to the diameter, and one loop over d = 1..diam
-turns the tallies into integer sums. Every distance and every eccentricity
-lies in 1..diam, so L = lcm(1..diam) is a common denominator of every term
-of H and CEI: each is one integer numerator over L (2L for H), taking one
-exact division instead of a Fraction normalization per term. No floats
+eccentricity, and the same loop takes the diameter, the largest
+eccentricity; one loop over d = 1..diam turns the tallies into integer
+sums. Every distance and every eccentricity lies in 1..diam, so
+L = lcm(1..diam) is a common denominator of every term of H and CEI: each
+is one integer numerator over L (2L for H), taking one exact division
+instead of a Fraction normalization per term. No floats
 appear anywhere.
 """
 

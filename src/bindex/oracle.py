@@ -25,9 +25,10 @@ verification_sweep is the one verification path, and one row is
 verification_sweep([n], [kind], [k]): it enumerates each n once, keeps the
 classes of each cut edge count with rows to do (enumerate --k groups by the
 same _by_cut_edges), finds each index's optimum and certifies it next to
-the predicted family. One size guard, cap, bounds the enumeration, and the
-library certifies only graphs under it, so certificate has no guard of its
-own. The sweep checks every n and k before any work starts.
+the predicted family, each distinct graph once per k. One size guard, cap,
+bounds the enumeration, and the library certifies only graphs under it, so
+certificate has no guard of its own. The sweep checks every n and k before
+any work starts.
 
 The optimum is found by branch and bound, yet stays exhaustive. In a
 connected bipartite graph every distance has the parity of its ends' parts,
@@ -254,10 +255,9 @@ def _best_multi(
     return best
 
 
-def _certs(graphs: Iterable[Graph], known: dict[Graph, str] | None = None) -> tuple[str, ...]:
+def _certs(graphs: Iterable[Graph], known: dict[Graph, str]) -> tuple[str, ...]:
     """The sorted certificates of graphs, each distinct graph certified once
     across the calls that share known."""
-    known = {} if known is None else known
     out = []
     for g in graphs:
         cert = known.get(g)

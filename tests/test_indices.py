@@ -99,7 +99,7 @@ def test_all_indices_reads_kinds_once():
     for kinds in ([EDS, W, CEI], list(IndexKind), [H]):
         want = list(all_indices(g, kinds).items())
         assert list(all_indices(g, (kind for kind in kinds)).items()) == want
-        assert list(want) == [(kind, all_indices(g)[kind]) for kind in kinds]
+        assert want == [(kind, all_indices(g)[kind]) for kind in kinds]
     # K_1: every index but CEI is zero, and CEI is refused before any work
     k1 = new_graph(1)
     assert all_indices(k1, (W,)) == {W: 0}

@@ -216,9 +216,14 @@ def test_sweep_ranks_73_graphs_up_to_n10(monkeypatch):
     calls = []
     real = oracle.all_indices
     monkeypatch.setattr(oracle, "all_indices", lambda g, kinds: calls.append(g) or real(g, kinds))
+    certified = []
+    real_certificate = oracle.certificate
+    monkeypatch.setattr(oracle, "certificate", lambda g: certified.append(g) or real_certificate(g))
     rows = list(verification_sweep(range(5, 11), cap=10))
     assert len(rows) == 135 and all(r.matched for r in rows)
     assert len(calls) == 73
+    # the kinds of one k share their optima and families: each graph is certified once
+    assert len(certified) == len(set(certified)) == 72
 
 
 def _bound_row_groups(ns):
@@ -241,7 +246,7 @@ def test_pruned_ranking_matches_ranking_every_candidate():
             for kind in kinds:
                 (value, graphs), (ref_value, ref_graphs) = got[kind], want[kind]
                 assert (type(value), value) == (type(ref_value), ref_value), (kind, n, k)
-                assert oracle._certs(graphs) == oracle._certs(ref_graphs), (kind, n, k)
+                assert oracle._certs(graphs, {}) == oracle._certs(ref_graphs, {}), (kind, n, k)
     assert seen == 3790
 
 
@@ -480,7 +485,7 @@ def test_committed_rows_match_the_bounds(size, count):
     assert len(rows) == count
     for (index, n, k), row in rows.items():
         bound = optimize(IndexKind(index), n, k)
-        family = oracle._certs(b_graph(spec) for spec in bound.family)
+        family = oracle._certs(map(b_graph, bound.family), {})
         assert (row.predicted_value, row.predicted_certificates) == (bound.value, family)
         assert (row.oracle_value, row.oracle_certificates) == (bound.value, family)
         assert row.matched
