@@ -33,6 +33,7 @@ from .indices import compute  # noqa: F401  benchmarks/spans.py wraps bindex.cli
 from .oracle import (
     DEFAULT_CAP,
     _by_cut_edges,
+    _check_cap,
     enumerate_connected_bipartite,
     load_reports,
     verification_sweep,
@@ -311,6 +312,7 @@ def cmd_enumerate(n: int, k, cap: int, fmt: str) -> None:
     """List connected bipartite classes as sorted canonical graph6 lines."""
     graphs = enumerate_connected_bipartite(n, cap)  # lazy: nothing runs before the k check
     if k is not None:
+        _check_cap(n, cap)  # before the feasible k, whose list grows with n
         feasible = feasible_cut_edge_counts(n)
         if k not in feasible:
             ks = ", ".join(map(str, feasible))

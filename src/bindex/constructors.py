@@ -115,6 +115,11 @@ def admissible_x(n: int, k: int) -> range:
     return range(2, (n - k) // 2 + 1)
 
 
+def _within(x, xs: range) -> bool:
+    """x in the step-1 range xs, in O(1) for any real x: range's own test walks xs for a non-int x."""
+    return xs.start <= x < xs.stop and x == int(x)
+
+
 @dataclass(frozen=True)
 class BkSpec:
     """Parameters (n, k, x) of B_k(x, n-k-x); y = n - k - x is a property.
@@ -133,10 +138,8 @@ class BkSpec:
         if not xs:
             if x != 1:
                 raise Infeasible(f"k=n-1 is the star row and requires x=1, got x={x}")
-        elif x not in xs:
-            raise Infeasible(
-                f"x={x} violates 2 <= x <= n-k-x = {n - k - x} for n={n}, k={k}"
-            )
+        elif not _within(x, xs):
+            raise Infeasible(f"x={x} violates 2 <= x <= n-k-x = {n - k - x} for n={n}, k={k}")
         object.__setattr__(self, "x", int(x))  # an equal Fraction or float is stored as its int
 
     @property

@@ -2,10 +2,10 @@
 
 Two independent layers:
 
-* optimize() evaluates the per-index polynomial at every admissible x
-  (constructors.admissible_x, re-exported here) and returns the true
-  optimum with all optimal parameters, or, on the tree row, the index of
-  S_n computed from the graph itself;
+* optimize() reads the true optimum, with all optimal parameters, off the
+  vertex of each index's polynomial in x (closed_form, one coefficient row
+  each), clamped into constructors.admissible_x (re-exported here), or, on
+  the tree row, computes the index of S_n from the graph itself;
 * case_table() reproduces a fixed residue-indexed table of closed-form
   answers, kept verbatim, quirks included. Which printed optimizers give
   a realizable family is decided by admissible_x as well: the table's x
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructors import BkSpec, Infeasible, admissible_x, check_bound_row, star
+from .constructors import BkSpec, Infeasible, _within, admissible_x, check_bound_row, star
 from .indices import IndexKind, compute
 
 _ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x", "xi", "xii")
@@ -38,9 +38,18 @@ TABLE_RELATION = {
     IndexKind.EDS: ">=",
 }
 
+# each index over B_k(x, n-k-x) as (a, b, c, den): it is (a*x*x + b*x + c) / den
+_POLYNOMIAL = {
+    IndexKind.W: lambda n, k: (1, 2 * k - n, n * n - n - 2 * k, 1),
+    IndexKind.WW: lambda n, k: (2, 5 * k - 2 * n, 3 * n * (n - 1) // 2 - 5 * k, 1),
+    IndexKind.H: lambda n, k: (-6, 6 * n - 8 * k, 3 * n * n - 3 * n + 8 * k, 12),
+    IndexKind.CEI: lambda n, k: (-5, 5 * n - 5 * k - 1, n + 4 * k, 6),
+    IndexKind.EDS: lambda n, k: (5, 11 * k - 3 * n - 3, 4 * n * n + 2 * k * n - 5 * n - 14 * k + 2, 1),
+}
+
 
 def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
-    """Index value of B_k(x, n-k-x) as a polynomial in x.
+    """Index value of B_k(x, n-k-x), read off its row of the polynomial table.
 
     Defined for 1 <= k <= n-4 and integer 2 <= x <= n-k-x; the tree row
     k = n-1 has no x freedom; optimize computes S_n's index there instead.
@@ -48,28 +57,11 @@ def closed_form(kind: IndexKind, n: int, k: int, x) -> Fraction:
     xs = admissible_x(n, k)
     if not xs:
         raise Infeasible("the tree row k = n-1 has no x freedom")
-    if x not in xs:
+    if not _within(x, xs):
         raise Infeasible(f"x={x} not admissible for n={n}, k={k}: need integer 2 <= x <= n-k-x")
+    a, b, c, den = _POLYNOMIAL[kind](n, k)
     x = int(x)
-    if kind is IndexKind.W:
-        return Fraction(x * x + (2 * k - n) * x + n * n - n - 2 * k)
-    if kind is IndexKind.WW:
-        return Fraction(2 * x * x + (5 * k - 2 * n) * x + 3 * n * (n - 1) // 2 - 5 * k)
-    if kind is IndexKind.H:
-        return Fraction(-6 * x * x + (6 * n - 8 * k) * x + 3 * n * n - 3 * n + 8 * k, 12)
-    if kind is IndexKind.CEI:
-        return Fraction(-5 * x * x + (5 * n - 5 * k - 1) * x + n + 4 * k, 6)
-    if kind is IndexKind.EDS:
-        return Fraction(
-            5 * x * x
-            + (11 * k - 3 * n - 3) * x
-            + 4 * n * n
-            + 2 * k * n
-            - 5 * n
-            - 14 * k
-            + 2
-        )
-    raise ValueError(f"unknown index kind {kind!r}")
+    return Fraction((a * x + b) * x + c, den)
 
 
 @dataclass(frozen=True)
@@ -85,16 +77,19 @@ class BoundResult:
 def optimize(kind: IndexKind, n: int, k: int) -> BoundResult:
     """Optimize the closed form over all admissible x (direct, no table).
 
-    The tree row k = n-1 returns the index of S_n, computed straight from
-    the graph itself.
+    Its x*x coefficient a is > 0 on lower bounds, < 0 on upper ones, so the
+    optimum is the floor or the ceiling of the vertex -b/2a clamped into
+    range, or both on a tie. The tree row k = n-1 gives S_n's index, from the graph.
     """
     xs = admissible_x(n, k)
     if not xs:
-        value = Fraction(compute(kind, star(n)))
-        return BoundResult(value, (BkSpec(n, k, 1),))
-    values = {x: closed_form(kind, n, k, x) for x in xs}
+        return BoundResult(Fraction(compute(kind, star(n))), (BkSpec(n, k, 1),))
+    a, b, _, _ = _POLYNOMIAL[kind](n, k)
+    floor = -b // (2 * a)
+    candidates = sorted({min(max(x, xs[0]), xs[-1]) for x in (floor, floor + 1)})
+    values = {x: closed_form(kind, n, k, x) for x in candidates}
     best = min(values.values()) if kind.bound_direction == "lower" else max(values.values())
-    return BoundResult(best, tuple(BkSpec(n, k, x) for x in xs if values[x] == best))
+    return BoundResult(best, tuple(BkSpec(n, k, x) for x in candidates if values[x] == best))
 
 
 @dataclass(frozen=True)
@@ -113,17 +108,16 @@ def _row(
     kind: IndexKind, n: int, k: int, clause: int, value, xs: tuple[Fraction, ...]
 ) -> CaseRow:
     admissible = admissible_x(n, k)
-    if admissible:
-        family = tuple(BkSpec(n, k, int(x)) for x in xs if x in admissible)
-    else:
-        family = (BkSpec(n, k, 1),)  # the tree row's extremal graph is S_n
+    realizable = [int(x) for x in xs if _within(x, admissible)]
+    # the tree row's extremal graph is S_n
+    family = tuple(BkSpec(n, k, x) for x in realizable) if admissible else (BkSpec(n, k, 1),)
     return CaseRow(
         f"{kind.value}.{_ROMAN[clause - 1]}",
         TABLE_RELATION[kind],
         Fraction(value),
         xs,
         family,
-        all(x in admissible for x in xs),
+        len(realizable) == len(xs),
     )
 
 

@@ -98,6 +98,11 @@ it asked admissible_x: each printed x must have denominator 1 and survive
 BkSpec, whose Infeasible marks the row invalid, and an x-free row with
 k = n-1 gets S_n. case_table must give the same family and validity on
 every bound row.
+
+optimize_by_scan is the optimizer bindex ran before it read the optimum
+off the parabola's vertex: it evaluates closed_form at every admissible x
+and keeps each x that attains the optimum. Both must give the same value
+and the same family, in ascending x, on every bound row but the tree row.
 """
 
 from __future__ import annotations
@@ -108,7 +113,8 @@ from itertools import combinations, permutations
 from operator import add
 from typing import Iterator
 
-from bindex.constructors import BkSpec, DecoratedCore, Infeasible
+from bindex.constructors import BkSpec, DecoratedCore, Infeasible, admissible_x
+from bindex.extremal import BoundResult, closed_form
 from bindex.graphs import (
     UNREACHABLE,
     Graph,
@@ -648,3 +654,12 @@ def reconcile_findings(kind: IndexKind, rec) -> tuple[bool, bool, bool]:
         table.family_valid and set(table.family) == set(computed.family),
         table.relation != derived,
     )
+
+
+def optimize_by_scan(kind: IndexKind, n: int, k: int) -> BoundResult:
+    """The optimum of the closed form over every admissible x, with each x
+    that attains it, on a row with 1 <= k <= n-4."""
+    xs = admissible_x(n, k)
+    values = {x: closed_form(kind, n, k, x) for x in xs}
+    best = min(values.values()) if kind.bound_direction == "lower" else max(values.values())
+    return BoundResult(best, tuple(BkSpec(n, k, x) for x in xs if values[x] == best))

@@ -289,6 +289,31 @@ def test_bound_reconcile_consistent_row():
     assert row["consistent"] == "yes"
 
 
+def test_bound_reconcile_at_a_huge_n():
+    """optimize evaluates two x and case_table tests its printed x in O(1),
+    so n = 10**20 answers at once; the table agrees up to WW's relation."""
+    res = run("bound", "--n", str(10**20), "--k", "1", "--reconcile", "--format", "csv")
+    assert (res.returncode, res.stderr) == (0, "")
+    half = 5 * 10**19 - 1
+    expected = [
+        ("w", "7499999999999999999999999999999999999997", half, "w.iv", "yes", ""),
+        ("ww", "10000000000000000000099999999999999999992", half, "ww.vi", "no",
+         "table prints <= but the family sits on the lower side (>=)"),
+        ("h", "7499999999999999999883333333333333333335/2", half, "h.v", "yes", ""),
+        ("cei", "12499999999999999999800000000000000000005/6", half, "cei.iii", "yes", ""),
+        ("eds", "35499999999999999999939999999999999999985", 3 * 10**19 - 1, "eds.v", "yes", ""),
+    ]
+    rows = parse_csv(res.stdout)
+    assert [
+        (r["index"], r["value"], int(r["optimal_x"]), r["clause"], r["consistent"], r["notes"])
+        for r in rows
+    ] == expected
+    for r in rows:
+        x = int(r["optimal_x"])
+        assert r["family"] == f"B_1({x},{10**20 - 1 - x})"
+        assert (r["table_value"], r["table_x"]) == (r["value"], r["optimal_x"])
+
+
 def test_verify_round_trip(tmp_path):
     res = run("verify", "--n", "5", "--strict")
     assert res.returncode == 0
@@ -647,6 +672,16 @@ def test_enumerate_rejects_infeasible_k(k):
     assert res.stderr == (
         f"error: no connected bipartite graph on n=6 vertices has k={k} cut edges"
         " (feasible k: 0, 1, 2, 5)\n"
+    )
+
+
+def test_enumerate_infeasible_k_above_the_cap_names_the_cap():
+    """The size guard runs before the feasible k are listed, which grow with n."""
+    res = run("enumerate", "--n", str(10**6), "--k", str(10**6 - 2))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == (
+        "error: n=1000000 above cap=9: raise the cap argument (--cap on the command line)"
+        " explicitly for big sweeps\n"
     )
 
 

@@ -26,7 +26,7 @@ from bindex.extremal import (
     reconcile,
 )
 from bindex.indices import IndexKind, all_indices, compute
-from reference import case_table_family, reconcile_findings
+from reference import case_table_family, optimize_by_scan, reconcile_findings
 
 F = Fraction
 
@@ -96,24 +96,31 @@ def test_optimize_known_answers():
     assert H.bound_direction == "upper"
 
 
+def _check_optimize(n, k, kind):
+    r = optimize(kind, n, k)
+    # the same value and every optimal x, once each and ascending
+    assert r == optimize_by_scan(kind, n, k), (kind, n, k)
+    for spec in r.family:
+        assert spec == BkSpec(n, k, spec.x)
+    return r
+
+
 def test_optimize_result_invariants():
-    for n, k in nonstar_rows(5, 14):
+    for n, k in nonstar_rows(5, 60):
         for kind in IndexKind:
-            r = optimize(kind, n, k)
-            assert r.family
-            # every optimal x, once each and ascending
-            assert [s.x for s in r.family] == [
-                x for x in admissible_x(n, k) if closed_form(kind, n, k, x) == r.value
-            ]
-            for spec in r.family:
-                assert spec == BkSpec(n, k, spec.x)
-            # optimum beats every other admissible x
-            for x in admissible_x(n, k):
-                val = closed_form(kind, n, k, x)
-                if kind.bound_direction == "lower":
-                    assert val >= r.value
-                else:
-                    assert val <= r.value
+            _check_optimize(n, k, kind)
+    # above n = 60, a sample of small, middle and large k: the optimum lies
+    # at x = 2 (the vertex clamped), at the top x, and on two tied x
+    at = {"x=2": 0, "top x": 0, "tie": 0}
+    for n in range(61, 401, 13):
+        for k in sorted({1, 2, 3, n // 7, n // 5, n // 3, n // 2, n - 6, n - 5, n - 4}):
+            for kind in IndexKind:
+                r = _check_optimize(n, k, kind)
+                xs = [s.x for s in r.family]
+                at["x=2"] += xs[0] == 2
+                at["top x"] += xs[-1] == admissible_x(n, k)[-1]
+                at["tie"] += len(xs) == 2
+    assert all(at.values()), at
 
 
 def test_optimize_star_rows_use_true_star_values():
