@@ -14,12 +14,12 @@ A second, fully labeled path rebuilds the same classes from raw edge
 subsets. A depth-first search adds the vertices one by one, each joining
 each component so far from at most one color class, so no odd cycle is
 built, and the last vertex joining every component left; then each
-survivor's orbit is walked by Johnson-Trotter's adjacent transpositions,
-at most two delta swaps on the mask a step. The enumeration tests
-connectivity with graphs.is_connected. The two paths share no code, which is
-the point: their agreement is checked, not assumed, and a branch dropped
-in error would show as a count mismatch against the enumeration and OEIS
-A001832.
+survivor's n! relabelings are built at once, as the 32-bit slots of one
+int (35 delta swaps at n = 7), and struck from a flag table of all masks.
+The enumeration tests connectivity with graphs.is_connected. The two
+paths share no code, which is the point: their agreement is checked, not
+assumed, and a branch dropped in error would show as a count mismatch
+against the enumeration and OEIS A001832.
 
 verification_sweep is the one verification path, and one row is
 verification_sweep([n], [kind], [k]): it enumerates each n once, keeps the
@@ -44,6 +44,7 @@ Everything runs in one process; the n = 5..10 sweep takes about 0.2 s of CPU
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, permutations
@@ -478,41 +479,45 @@ def _transposition_swaps(n: int) -> list[tuple[tuple[int, int], ...]]:
     return swaps
 
 
-def _plain_changes(n: int) -> list[int]:
-    """Johnson-Trotter: n! - 1 swaps of places (i, i+1) visiting every order once.
-
-    Item m - 1 sweeps left and right in turn across the orders of items
-    0..m-2, whose own swaps run between sweeps, one place right after a left sweep.
-    """
-    walk: list[int] = []
-    for m in range(2, n + 1):
-        sweep = list(range(m - 2, -1, -1))  # item m - 1 from the last place to the first
-        nxt = sweep[:]
-        for j, i in enumerate(walk):
-            nxt += [i + 1 - j % 2] + (sweep[::-1] if j % 2 == 0 else sweep)
-        walk = nxt
-    return walk
-
-
 def labeled_class_certificates(n: int) -> frozenset[str]:
     """Certificates of all connected bipartite classes, the labeled way.
 
-    Scans the edge masks, then certifies one survivor per orbit and walks
-    the orbit, discarding each image: the plain-changes swaps, applied as
-    vertex transpositions, reach all n! relabelings of the survivor.
-    Independent of the structured enumeration.
+    Scans the edge masks into a flag table, then certifies the lowest
+    flagged mask and clears the flags of all n! of its relabelings, until
+    none is left. The relabelings are the 32-bit slots of one int, built by
+    an image program: for m = 2..n, the (m - 1)! slots so far are copied m
+    times, then transposition (i, i+1) is applied to copies 0..i for
+    i = m - 2 down to 0, so copy j holds the coset of S_{m-1} that sends
+    vertex m - 1 to place j. Each transposition is one or two delta swaps
+    whose low mask is repeated over the slots it acts on; a pair mask has
+    C(n, 2) <= 21 bits, so no swap crosses a slot. Independent of the
+    structured enumeration.
     """
-    pairs = list(combinations(range(n), 2))
-    survivors = set(labeled_connected_bipartite_masks(n))
+    masks = labeled_connected_bipartite_masks(n)  # checks n before anything is allocated
+    pairs = list(combinations(range(n), 2))  # C(7, 2) = 21 bits: a pair mask fits a slot
+    flags = bytearray(1 << len(pairs))
+    for mask in masks:
+        flags[mask] = 1
+    del masks
     swaps = _transposition_swaps(n)
-    walk = [swaps[i] for i in _plain_changes(n)]
+    program = []  # (the multiplier that makes m copies, the delta swaps on them)
+    slots = 1
+    for m in range(2, n + 1):
+        ones = [((1 << 32 * (i + 1) * slots) - 1) // 0xFFFFFFFF for i in range(m - 1)]  # bit 0 of each slot of copies 0..i
+        steps = [(d, low * ones[i]) for i in range(m - 2, -1, -1) for d, low in swaps[i]]
+        program.append((((1 << 32 * m * slots) - 1) // ((1 << 32 * slots) - 1), steps))
+        slots *= m
     certs = set()
-    while survivors:
-        mask = survivors.pop()
+    mask = flags.find(1)
+    while mask >= 0:
         certs.add(certificate(new_graph(n, [pairs[i] for i in _bits(mask)])))
-        for steps in walk:
+        images = mask
+        for copies, steps in program:
+            images *= copies
             for d, low in steps:
-                t = (mask ^ mask >> d) & low
-                mask ^= t | t << d
-            survivors.discard(mask)
+                t = (images ^ images >> d) & low
+                images ^= t | t << d
+        for image in struct.unpack(f"<{slots}I", images.to_bytes(4 * slots, "little")):
+            flags[image] = 0
+        mask = flags.find(1, mask)
     return frozenset(certs)

@@ -23,11 +23,13 @@ identity's. Both searches visit the same prefixes in the same order, so
 they must yield the same graphs in the same order.
 
 labeled_connected_bipartite_masks and labeled_class_certificates are the
-labeled path that bindex ran before its vertex-by-vertex scan and its orbit
-walk by adjacent transpositions: a search that decides the vertex pairs
-edge by edge, then a collapse that applies all n! vertex permutations to
-each survivor bit by bit. The scans must return the same list, and the
-collapses the same certificate set.
+labeled path that bindex ran before its vertex-by-vertex scan and its
+orbit collapse by an image program (all n! relabelings of a survivor as
+the slots of one integer, struck from a flag table): a search that decides
+the vertex pairs edge by edge, then a collapse that applies all n! vertex
+permutations to each survivor bit by bit and discards each image from a
+set. The scans must return the same list, and the collapses the same
+certificate set.
 
 graph6_decode is the decoder bindex ran before its regex scan and its
 table-driven body: it checks each byte in a Python loop, formats each body

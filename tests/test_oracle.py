@@ -11,6 +11,7 @@ import gc
 import hashlib
 import json
 import random
+import struct
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -18,6 +19,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import comb, factorial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -623,15 +625,67 @@ def test_labeled_path_matches_the_reference_path():
         assert labeled_class_certificates(n) == reference.labeled_class_certificates(n), n
 
 
+def test_labeled_class_certificates_checks_n_before_it_allocates(monkeypatch):
+    # at n = 8 a flag table would take 2^28 bytes before the scan refused n
+    def boom(*args):
+        raise AssertionError("allocated before n was checked")
+
+    monkeypatch.setattr(oracle, "bytearray", boom, raising=False)
+    monkeypatch.setattr(oracle, "_transposition_swaps", boom)
+    for n in (0, 8):
+        with pytest.raises(ValueError, match=rf"^labeled scan supports 1 <= n <= 7, got n={n}$"):
+            labeled_class_certificates(n)
+
+
+# graphs with a trivial automorphism group: a triangle with a pendant on one
+# corner and a path of two on another, and the tree with legs 1, 2 and 3
+ASYMMETRIC = {
+    1: [],
+    6: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (3, 5)],
+    7: [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)],
+}
+
+
 @pytest.mark.parametrize("n", range(1, 8))
-def test_plain_changes_visit_every_order_once(n):
-    walk = oracle._plain_changes(n)
-    order = list(range(n))
-    seen = {tuple(order)}
-    for i in walk:
-        order[i], order[i + 1] = order[i + 1], order[i]
-        seen.add(tuple(order))
-    assert len(walk) + 1 == len(seen) == len(list(permutations(range(n))))
+def test_image_program_holds_every_relabeling(monkeypatch, n):
+    """The slots read back for a lone survivor are its n! relabelings, each once per automorphism.
+
+    The relabelings are built pair by pair from itertools.permutations, as
+    tests/reference.py's labeled collapse builds them. No graph on 2..5
+    vertices is asymmetric; there the path, with two automorphisms, must
+    show each relabeling twice.
+    """
+    pairs = list(combinations(range(n), 2))
+    index_of = {p: i for i, p in enumerate(pairs)}
+    read = []
+
+    def unpack(fmt, data):
+        read.append(struct.unpack(fmt, data))
+        return read[-1]
+
+    monkeypatch.setattr(oracle, "struct", SimpleNamespace(unpack=unpack))
+    monkeypatch.setattr(oracle, "certificate", lambda g: "")
+
+    def slots_of(edges):
+        mask = sum(1 << index_of[e] for e in edges)
+        monkeypatch.setattr(oracle, "labeled_connected_bipartite_masks", lambda n: [mask])
+        read.clear()
+        labeled_class_certificates(n)
+        [slots] = read
+        want = [
+            sum(1 << index_of[(p[u], p[v]) if p[u] < p[v] else (p[v], p[u])] for u, v in edges)
+            for p in permutations(range(n))
+        ]
+        assert sorted(slots) == sorted(want), edges
+        return slots
+
+    path = [(v, v + 1) for v in range(n - 1)]
+    if n in ASYMMETRIC:
+        assert len(set(slots_of(ASYMMETRIC[n]))) == factorial(n)
+    if n >= 2:
+        assert set(Counter(slots_of(path)).values()) == {2}
+    assert set(slots_of([])) == {0}
+    assert set(slots_of(pairs)) == {(1 << len(pairs)) - 1}
 
 
 def _swapped(steps, mask):
