@@ -503,9 +503,9 @@ def labeled_class_certificates(n: int) -> frozenset[str]:
     program = []  # (the multiplier that makes m copies, the delta swaps on them)
     slots = 1
     for m in range(2, n + 1):
-        ones = [((1 << 32 * (i + 1) * slots) - 1) // 0xFFFFFFFF for i in range(m - 1)]  # bit 0 of each slot of copies 0..i
+        ones = [int.from_bytes(b"\1\0\0\0" * (i + 1) * slots, "little") for i in range(m - 1)]  # bit 0 of each slot of copies 0..i
         steps = [(d, low * ones[i]) for i in range(m - 2, -1, -1) for d, low in swaps[i]]
-        program.append((((1 << 32 * m * slots) - 1) // ((1 << 32 * slots) - 1), steps))
+        program.append((int.from_bytes((b"\1" + bytes(4 * slots - 1)) * m, "little"), steps))  # bit 0 of each copy
         slots *= m
     certs = set()
     mask = flags.find(1)
