@@ -494,7 +494,7 @@ def labeled_class_certificates(n: int) -> frozenset[str]:
     structured enumeration.
     """
     masks = labeled_connected_bipartite_masks(n)  # checks n before anything is allocated
-    pairs = list(combinations(range(n), 2))  # C(7, 2) = 21 bits: a pair mask fits a slot
+    pairs = list(combinations(range(n), 2))
     flags = bytearray(1 << len(pairs))
     for mask in masks:
         flags[mask] = 1
